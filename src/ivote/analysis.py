@@ -29,6 +29,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from math import prod
+from operator import getitem, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -100,7 +101,8 @@ class BetterReplyGraph:
         self.outcomes = outcomes
         self.edges = edges
         self.out_edges = out_edges
-        self._index = {p: i for i, p in enumerate(profiles)}
+        # profile -> node, built by the first node_of call: sweeps never ask
+        self._index = None
 
     @property
     def num_nodes(self) -> int:
@@ -111,6 +113,8 @@ class BetterReplyGraph:
         return len(self.edges)
 
     def node_of(self, profile: Profile) -> int:
+        if self._index is None:
+            self._index = {p: i for i, p in enumerate(self.profiles)}
         try:
             return self._index[tuple(profile)]
         except KeyError:
@@ -136,84 +140,131 @@ def build_graph(
 ) -> BetterReplyGraph:
     """Materialize the reply graph; raises LimitError beyond ``node_limit``
     (the environment default when None)."""
-    if node_limit is None:
-        node_limit = default_node_limit()
-    form = game.form
-    n = game.n
-    acts = [form.actions(v) for v in range(n)]
-    sizes = [len(row) for row in acts]
-    total = prod(sizes)
-    if total > node_limit:
-        raise LimitError(
-            f"state space has {total} profiles, above the limit of {node_limit}"
+    return _reply_graph(_Skeleton(game.form, node_limit), game, policy)
+
+
+class _Skeleton:
+    """The preference-free part of every reply graph on one form.
+
+    ``profiles`` lists the nodes; ``outcome_ids[i]`` indexes node i's
+    outcome in ``sets``, which holds one frozenset per distinct outcome,
+    and ``outcomes`` is the per-node tuple of those shared objects.
+    ``moves[v][k]`` lists, for voter v playing their k-th action, every
+    other action as ``(action, node offset, named candidate or None)``.
+    Raises LimitError beyond ``node_limit`` (the environment default when
+    None).
+    """
+
+    __slots__ = ("profiles", "outcomes", "outcome_ids", "sets", "sizes", "moves")
+
+    def __init__(self, form, node_limit: Optional[int]):
+        if node_limit is None:
+            node_limit = default_node_limit()
+        n = form.n
+        acts = [form.actions(v) for v in range(n)]
+        sizes = tuple(len(row) for row in acts)
+        total = prod(sizes)
+        if total > node_limit:
+            raise LimitError(
+                f"state space has {total} profiles, above the limit of {node_limit}"
+            )
+        profiles = tuple(itertools.product(*acts))
+        interned = {}
+        ids = tuple(
+            interned.setdefault(form.outcome(p), len(interned)) for p in profiles
         )
-    profiles = tuple(itertools.product(*acts))
-    outcomes = tuple(form.outcome(p) for p in profiles)
+        sets = tuple(interned)
+        # stride of voter v: how far one step in their action list moves the index
+        strides = [1] * n
+        for v in range(n - 2, -1, -1):
+            strides[v] = strides[v + 1] * sizes[v + 1]
+        self.profiles = profiles
+        self.outcomes = tuple(sets[x] for x in ids)
+        self.outcome_ids = ids
+        self.sets = sets
+        self.sizes = sizes
+        self.moves = tuple(
+            tuple(
+                tuple(
+                    (a, (k - pos) * strides[v], form.action_candidate(v, a))
+                    for k, a in enumerate(acts[v])
+                    if k != pos
+                )
+                for pos in range(sizes[v])
+            )
+            for v in range(n)
+        )
+
+
+def _reply_graph(skel: _Skeleton, game: Game, policy: ReplyPolicy) -> BetterReplyGraph:
+    """The reply graph of ``game``, whose form ``skel`` was built from."""
     comp = OutcomeComparator(game, policy.comparator)
-    # stride of voter v: how far one step in their action list moves the index
-    strides = [1] * n
-    for v in range(n - 2, -1, -1):
-        strides[v] = strides[v + 1] * sizes[v + 1]
-    pos_of = [{a: k for k, a in enumerate(row)} for row in acts]
-    kind = policy.kind
+    sets = skel.sets
+    ids = skel.outcome_ids
+    # prefers[v][x][y]: does voter v strictly prefer outcome y to x?
+    # Filled on first use, both directions from one comparison.
+    prefers = [[{} for _ in sets] for _ in range(game.n)]
     SB = SetComparison.STRICTLY_BETTER
+    SW = SetComparison.STRICTLY_WORSE
+
+    def beats(v, y, x):
+        """Whether voter v strictly prefers outcome y to outcome x."""
+        row = prefers[v][x]
+        better = row.get(y)
+        if better is None:
+            verdict = comp.compare(v, sets[y], sets[x])
+            prefers[v][y][x] = verdict is SW
+            better = row[y] = verdict is SB
+        return better
+
+    kind = policy.kind
     edges = []
-    out_edges = [[] for _ in range(total)]
-    for i, p in enumerate(profiles):
-        out_i = outcomes[i]
-        for v in range(n):
-            stride = strides[v]
-            base = i - pos_of[v][p[v]] * stride
+    out_edges = []
+    positions = itertools.product(*map(range, skel.sizes))
+    for i, (x, pos) in enumerate(zip(ids, positions)):
+        out_i = []
+        for v, others in enumerate(map(getitem, skel.moves, pos)):
             improving = []
-            for k, a in enumerate(acts[v]):
-                if a == p[v]:
-                    continue
-                j = base + k * stride
-                if comp.compare(v, outcomes[j], out_i) is SB:
-                    improving.append((a, j))
+            # beats(v, y, x) inlined: this runs once per (node, voter, action)
+            row = prefers[v][x]
+            for a, offset, c in others:
+                j = i + offset
+                y = ids[j]
+                try:
+                    better = row[y]
+                except KeyError:
+                    better = beats(v, y, x)
+                if better:
+                    improving.append((a, j, c))
             if not improving:
                 continue
             if kind is not ReplyKind.BETTER:
                 if kind is ReplyKind.DIRECT:
                     improving = [
-                        (a, j)
-                        for a, j in improving
-                        if (c := form.action_candidate(v, a)) is not None
-                        and c in outcomes[j]
+                        (a, j, c)
+                        for a, j, c in improving
+                        if c is not None and c in sets[ids[j]]
                     ]
                 else:  # BEST or DIRECT_BEST: outcome-maximal better replies
+                    # an outcome never beats itself, so j needs no exclusion
                     improving = [
-                        (a, j)
-                        for a, j in improving
-                        if not any(
-                            jj != j
-                            and comp.compare(v, outcomes[jj], outcomes[j]) is SB
-                            for _, jj in improving
-                        )
+                        (a, j, c)
+                        for a, j, c in improving
+                        if not any(beats(v, ids[jj], ids[j]) for _, jj, _ in improving)
                     ]
                     if kind is ReplyKind.DIRECT_BEST:
                         direct = [
-                            (a, j)
-                            for a, j in improving
-                            if (c := form.action_candidate(v, a)) is not None
-                            and c in outcomes[j]
+                            (a, j, c)
+                            for a, j, c in improving
+                            if c is not None and c in sets[ids[j]]
                         ]
-                        improving = (
-                            [
-                                min(
-                                    direct,
-                                    key=lambda aj: form.action_candidate(v, aj[0]),
-                                )
-                            ]
-                            if direct
-                            else []
-                        )
-            for a, j in improving:
-                eid = len(edges)
+                        improving = [min(direct, key=itemgetter(2))] if direct else []
+            for a, j, _ in improving:
+                out_i.append(len(edges))
                 edges.append(Edge(i, v, a, j))
-                out_edges[i].append(eid)
+        out_edges.append(tuple(out_i))
     return BetterReplyGraph(
-        game, policy, profiles, outcomes, tuple(edges), tuple(map(tuple, out_edges))
+        game, policy, skel.profiles, skel.outcomes, tuple(edges), tuple(out_edges)
     )
 
 
@@ -517,20 +568,25 @@ def is_restricted_fip(
     selection = default_selection()
     branches = 0
 
+    node_slots = {}
+    for key in slots:
+        node_slots.setdefault(key[0], []).append(key)
+
     for comp in comps:
-        # slots of this component that can move inside it
+        # slots of this component that can move inside it; their order here
+        # does not matter, the sort below fixes the search order
         comp_slots = []
-        for (node, voter), eids in sorted(slots.items()):
-            if node not in comp:
-                continue
-            inside = [e for e in eids if graph.edges[e].dst in comp]
-            if not inside:
-                continue
-            escape = next(
-                (e for e in eids if graph.edges[e].dst not in comp), None
-            )
-            choices = ([] if escape is None else [escape]) + inside
-            comp_slots.append(((node, voter), escape is not None, choices))
+        for node in comp:
+            for key in node_slots.get(node, ()):
+                eids = slots[key]
+                inside = [e for e in eids if graph.edges[e].dst in comp]
+                if not inside:
+                    continue
+                escape = next(
+                    (e for e in eids if graph.edges[e].dst not in comp), None
+                )
+                choices = ([] if escape is None else [escape]) + inside
+                comp_slots.append((key, escape is not None, choices))
         # fewest options first keeps the search tree narrow
         comp_slots.sort(key=lambda item: (len(item[2]), item[0]))
         chosen_out = {node: [] for node in comp}
@@ -920,6 +976,7 @@ def classify_game_form(
         "restricted_fip": FormProperty(True),
     }
     games_checked = 0
+    skel = _Skeleton(form, node_limit)
 
     def note(prop, prefs, utilities, witness):
         if state[prop].holds:
@@ -937,8 +994,7 @@ def classify_game_form(
             else [None]
         )
         for utilities in variants:
-            game = Game(form, prefs, utilities)
-            graph = build_graph(game, policy, node_limit)
+            graph = _reply_graph(skel, Game(form, prefs, utilities), policy)
             games_checked += 1
             sink_ids = sinks(graph)
             if not sink_ids:

@@ -585,6 +585,11 @@ def main(argv=None) -> int:
     except LimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except (RecursionError, MemoryError) as e:
+        # the analysis ran out of stack or memory: a resource limit, no verdict
+        detail = str(e) or "out of memory"
+        print(f"error: {type(e).__name__}: {detail}", file=sys.stderr)
+        return 3
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,8 +1,11 @@
 """Reply graphs, acyclicity classes, reports, and scans."""
 
+import itertools
+import random
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ivote import (
     BetterReplyGraph,
@@ -36,6 +39,7 @@ from ivote import (
     is_weak_fip,
     longest_convergence_path,
     nash_equilibria,
+    random_consistent_utilities,
     random_game,
     render_form_report,
     render_game_report,
@@ -44,7 +48,7 @@ from ivote import (
     sinks,
     truthful_profile,
 )
-from ivote.analysis import longest_path_from
+from ivote.analysis import _Skeleton, _reply_graph, _scc_partition, longest_path_from
 from ivote.dynamics import run_path, SchedulerSpec, RoundRobin
 
 BETTER_LEX = ReplyPolicy(ReplyKind.BETTER, ComparatorMode.LEX_SINGLETON)
@@ -126,19 +130,95 @@ def test_graph_edges_match_improvement_sets():
         (sd_game, ReplyPolicy(ReplyKind.DIRECT_BEST, ComparatorMode.STOCHASTIC_DOMINANCE)),
     ]
     for game, policy in cases:
-        graph = build_graph(game, policy)
-        form = game.form
-        assert graph.num_nodes == prod(len(form.actions(v)) for v in range(game.n))
-        for node in range(graph.num_nodes):
-            p = graph.profile_of(node)
-            assert graph.node_of(p) == node
-            assert graph.outcomes[node] == form.outcome(p)
-            for v in range(game.n):
-                want = improvement_set(game, p, v, policy)
-                eids = graph.slot_edges(node, v)
-                assert tuple(graph.edges[e].action for e in eids) == want
-                for e in (graph.edges[e] for e in eids):
-                    assert graph.profile_of(e.dst) == p[:v] + (e.action,) + p[v + 1 :]
+        assert_matches_improvement_sets(build_graph(game, policy))
+
+
+def assert_matches_improvement_sets(graph):
+    """The graph's edges are the union of ``improvement_set`` over all
+    states, in action order per (node, voter) slot."""
+    game, policy = graph.game, graph.policy
+    form = game.form
+    assert graph.num_nodes == prod(len(form.actions(v)) for v in range(game.n))
+    for node in range(graph.num_nodes):
+        p = graph.profile_of(node)
+        assert graph.node_of(p) == node
+        assert graph.outcomes[node] == form.outcome(p)
+        for v in range(game.n):
+            want = improvement_set(game, p, v, policy)
+            eids = graph.slot_edges(node, v)
+            assert tuple(graph.edges[e].action for e in eids) == want
+            for e in (graph.edges[e] for e in eids):
+                assert graph.profile_of(e.dst) == p[:v] + (e.action,) + p[v + 1 :]
+
+
+@st.composite
+def small_forms(draw):
+    """Plurality forms (weighted, head starts, restricted ballots, either
+    tie-break) and tabular forms with a ballot that names no candidate,
+    with m <= 3 candidates and n <= 3 voters."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
+    names = ("a", "b", "c")[:m]
+    if draw(st.booleans()):
+        ballots = st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)
+        return PluralityForm(
+            names,
+            draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+            draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)),
+            draw(st.sampled_from(sorted(TieBreak, key=lambda t: t.value))),
+            draw(st.one_of(st.none(), st.lists(ballots, min_size=n, max_size=n))),
+        )
+    # voter 1 always has the ballot "abstain", which names no candidate
+    labels = [("abstain", *draw(st.lists(st.sampled_from(names), unique=True)))]
+    for _ in range(n - 1):
+        row = st.lists(st.sampled_from(names + ("abstain",)), min_size=1, unique=True)
+        labels.append(tuple(draw(row)))
+    outcomes = st.frozensets(st.integers(0, m - 1), min_size=1)
+    if draw(st.booleans()):
+        outcomes = st.integers(0, m - 1).map(lambda c: frozenset((c,)))
+    table = {
+        p: draw(outcomes)
+        for p in itertools.product(*(range(len(row)) for row in labels))
+    }
+    return TabularForm(names, labels, table)
+
+
+def valid_modes(form):
+    """Every comparator a game with utilities supports on ``form``."""
+    modes = [m for m in ComparatorMode if m is not ComparatorMode.LEX_SINGLETON]
+    if form.kind == "plurality":
+        deterministic = form.tiebreak is TieBreak.LEXICOGRAPHIC
+    else:
+        deterministic = form.all_singleton
+    if deterministic:
+        modes.append(ComparatorMode.LEX_SINGLETON)
+    return modes
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_forms(), st.integers(0, 10**6))
+def test_shared_skeleton_matches_standalone_builds(form, seed):
+    rng = random.Random(seed)
+
+    def random_game_on_form():
+        prefs = tuple(PreferenceOrder(rng.sample(range(form.m), form.m))
+                      for _ in range(form.n))
+        return Game(form, prefs, random_consistent_utilities(prefs, rng))
+
+    skel = _Skeleton(form, None)
+    for mode in valid_modes(form):
+        for kind in ReplyKind:
+            policy = ReplyPolicy(kind, mode)
+            # the skeleton is reused, as in a form sweep
+            _reply_graph(skel, random_game_on_form(), policy)
+            game = random_game_on_form()
+            graph = _reply_graph(skel, game, policy)
+            alone = build_graph(game, policy)
+            assert graph.profiles == alone.profiles
+            assert graph.outcomes == alone.outcomes
+            assert graph.edges == alone.edges
+            assert graph.out_edges == alone.out_edges
+            assert_matches_improvement_sets(graph)
 
 
 def test_node_of_rejects_malformed_profiles():
@@ -244,6 +324,22 @@ def test_restricted_fip_finds_selection_through_search():
     assert verdict.holds
     assert is_fip(selection_subgraph(graph, verdict.selection)).holds
     assert "acyclic move graph" in verdict.certificate()
+
+
+def test_restricted_fip_searches_every_cyclic_component():
+    game = random_game(GameParams(3, 4, tiebreak=TieBreak.RANDOMIZED), 6)
+    better_eu = ReplyPolicy(ReplyKind.BETTER, ComparatorMode.EXPECTED_UTILITY)
+    graph = build_graph(game, better_eu)
+    assert graph.num_nodes == 81
+    sccs = _scc_partition(graph.num_nodes, graph.successors)
+    assert sum(len(c) > 1 for c in sccs) == 6
+    verdict = is_restricted_fip(graph)
+    assert verdict.holds
+    assert verdict.branches == 24
+    slots = {(e.src, e.voter) for e in graph.edges}
+    assert len(slots) == 156
+    assert set(verdict.selection) == slots
+    assert is_fip(selection_subgraph(graph, verdict.selection)).holds
 
 
 def test_restricted_fip_forced_cycle():

@@ -13,9 +13,11 @@ import pytest
 
 from ivote.cli import main
 from ivote.constructions import (
+    GameParams,
     catalog,
     catalog_entry,
     dictatorship_form,
+    random_game,
     restricted_action_form,
 )
 from ivote.core import TabularForm
@@ -263,6 +265,22 @@ def test_classify_node_limit_exit_code(capsys, lbc):
     code, _, err = run(capsys, "classify", lbc, "--node-limit", "8")
     assert code == 3
     assert "above the limit" in err
+
+
+def test_classify_reports_stack_exhaustion_as_a_resource_limit(tmp_path):
+    # the restriction search on this 4,096-state game recurses once per
+    # slot and runs out of stack; that is no verdict, so not exit 1
+    path = tmp_path / "lex4096.game"
+    dump(random_game(GameParams(4, 6), 7), str(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ivote.cli", "classify", str(path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: RecursionError:")
+    assert proc.stderr.count("\n") == 1
 
 
 # --- graph ---
