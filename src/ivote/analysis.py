@@ -27,10 +27,12 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import prod
-from operator import getitem, itemgetter
-from typing import Iterable, Optional, Sequence
+from operator import eq, getitem, index, itemgetter
+from typing import Iterable, Optional
 
 from .core import (
     ConfigurationError,
@@ -74,6 +76,16 @@ def default_node_limit() -> int:
     return value
 
 
+def _node_limit(node_limit: Optional[int]) -> int:
+    """``node_limit``, or the environment default when None; a limit below 1
+    is a usage error, not a limit every graph exceeds."""
+    if node_limit is None:
+        return default_node_limit()
+    if node_limit < 1:
+        raise ConfigurationError(f"node limit must be a positive integer: {node_limit}")
+    return node_limit
+
+
 @dataclass(frozen=True)
 class Edge:
     """A single-voter move: at node ``src``, ``voter`` switches to ``action``."""
@@ -84,25 +96,93 @@ class Edge:
     dst: int
 
 
+class _EdgeView(Sequence):
+    """``graph.edges``: edge id -> ``Edge``, built on access from the columns."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph):
+        self._graph = graph
+
+    def __len__(self):
+        return len(self._graph.dst)
+
+    def __getitem__(self, eid):
+        g = self._graph
+        eid = index(eid)  # one edge per id: slices are not supported
+        return Edge(g.src[eid], g.voter[eid], g.action[eid], g.dst[eid])
+
+    def __iter__(self):
+        g = self._graph
+        return map(Edge, g.src, g.voter, g.action, g.dst)
+
+    def __eq__(self, other):
+        if not isinstance(other, _EdgeView):
+            return NotImplemented
+        a, b = self._graph, other._graph
+        return (a.src, a.voter, a.action, a.dst) == (b.src, b.voter, b.action, b.dst)
+
+
+class _OutEdgeView(Sequence):
+    """``graph.out_edges``: node -> tuple of its edge ids, ascending."""
+
+    __slots__ = ("_offsets",)
+
+    def __init__(self, offsets):
+        self._offsets = offsets
+
+    def __len__(self):
+        return len(self._offsets) - 1
+
+    def __getitem__(self, node):
+        node = range(len(self))[node]  # negative ids and IndexError as for a tuple
+        return tuple(range(self._offsets[node], self._offsets[node + 1]))
+
+    def __eq__(self, other):
+        if not isinstance(other, _OutEdgeView):
+            return NotImplemented
+        return self._offsets == other._offsets
+
+
 class BetterReplyGraph:
     """The reply graph of a game under a policy.
 
     Nodes are action profiles (in the lexicographic order of per-voter
-    action positions), edges the allowed moves, grouped per node and per
-    (node, voter) slot. Immutable once built.
+    action positions), edges the allowed moves. Edges are stored as int
+    columns: edge ``eid`` moves ``voter[eid]`` from node ``src[eid]`` to
+    node ``dst[eid]`` by playing ``action[eid]``, and node i's edges are
+    the ids ``offsets[i]`` to ``offsets[i + 1]``, ordered by voter and then
+    by action position. ``edges`` and ``out_edges`` are read-only views
+    over the columns. Immutable once built.
     """
 
-    __slots__ = ("game", "policy", "profiles", "outcomes", "edges", "out_edges", "_index")
+    __slots__ = (
+        "game", "policy", "profiles", "outcomes",
+        "offsets", "src", "voter", "action", "dst", "_index",
+    )
 
-    def __init__(self, game, policy, profiles, outcomes, edges, out_edges):
+    def __init__(
+        self, game, policy, profiles, outcomes, offsets, src, voter, action, dst
+    ):
         self.game = game
         self.policy = policy
         self.profiles = profiles
         self.outcomes = outcomes
-        self.edges = edges
-        self.out_edges = out_edges
+        self.offsets = offsets
+        self.src = src
+        self.voter = voter
+        self.action = action
+        self.dst = dst
         # profile -> node, built by the first node_of call: sweeps never ask
         self._index = None
+
+    @property
+    def edges(self) -> _EdgeView:
+        return _EdgeView(self)
+
+    @property
+    def out_edges(self) -> _OutEdgeView:
+        return _OutEdgeView(self.offsets)
 
     @property
     def num_nodes(self) -> int:
@@ -110,7 +190,7 @@ class BetterReplyGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.dst)
 
     def node_of(self, profile: Profile) -> int:
         if self._index is None:
@@ -125,12 +205,15 @@ class BetterReplyGraph:
         return self.profiles[node]
 
     def slot_edges(self, node: int, voter: int) -> tuple:
+        voters = self.voter
         return tuple(
-            eid for eid in self.out_edges[node] if self.edges[eid].voter == voter
+            eid
+            for eid in range(self.offsets[node], self.offsets[node + 1])
+            if voters[eid] == voter
         )
 
     def successors(self, node: int):
-        return tuple(self.edges[eid].dst for eid in self.out_edges[node])
+        return tuple(self.dst[self.offsets[node] : self.offsets[node + 1]])
 
 
 def build_graph(
@@ -158,8 +241,7 @@ class _Skeleton:
     __slots__ = ("profiles", "outcomes", "outcome_ids", "sets", "sizes", "moves")
 
     def __init__(self, form, node_limit: Optional[int]):
-        if node_limit is None:
-            node_limit = default_node_limit()
+        node_limit = _node_limit(node_limit)
         n = form.n
         acts = [form.actions(v) for v in range(n)]
         sizes = tuple(len(row) for row in acts)
@@ -218,11 +300,10 @@ def _reply_graph(skel: _Skeleton, game: Game, policy: ReplyPolicy) -> BetterRepl
         return better
 
     kind = policy.kind
-    edges = []
-    out_edges = []
+    offsets = array("i", [0])
+    src, voter, action, dst = (array("i") for _ in range(4))
     positions = itertools.product(*map(range, skel.sizes))
     for i, (x, pos) in enumerate(zip(ids, positions)):
-        out_i = []
         for v, others in enumerate(map(getitem, skel.moves, pos)):
             improving = []
             # beats(v, y, x) inlined: this runs once per (node, voter, action)
@@ -260,17 +341,20 @@ def _reply_graph(skel: _Skeleton, game: Game, policy: ReplyPolicy) -> BetterRepl
                         ]
                         improving = [min(direct, key=itemgetter(2))] if direct else []
             for a, j, _ in improving:
-                out_i.append(len(edges))
-                edges.append(Edge(i, v, a, j))
-        out_edges.append(tuple(out_i))
+                src.append(i)
+                voter.append(v)
+                action.append(a)
+                dst.append(j)
+        offsets.append(len(dst))
     return BetterReplyGraph(
-        game, policy, skel.profiles, skel.outcomes, tuple(edges), tuple(out_edges)
+        game, policy, skel.profiles, skel.outcomes, offsets, src, voter, action, dst
     )
 
 
 def sinks(graph: BetterReplyGraph) -> tuple:
     """Node ids with no outgoing edge, ascending."""
-    return tuple(i for i in range(graph.num_nodes) if not graph.out_edges[i])
+    off = graph.offsets
+    return tuple(itertools.compress(range(graph.num_nodes), map(eq, off, off[1:])))
 
 
 def nash_equilibria(
@@ -298,21 +382,22 @@ class FipResult:
     cycle: Optional[tuple] = None
 
 
-def _kahn_remaining(num_nodes: int, out_edges, edges, alive=None):
+def _kahn_remaining(num_nodes: int, out_edges, heads, alive=None):
     """Nodes left after peeling indegree-0 nodes; empty iff acyclic on
-    ``alive`` (all nodes when None)."""
+    ``alive`` (all nodes when None). ``out_edges[i]`` lists node i's edge
+    ids and ``heads[eid]`` is the node edge ``eid`` enters."""
     if alive is None:
         indeg = [0] * num_nodes
         for eids in out_edges:
             for eid in eids:
-                indeg[edges[eid].dst] += 1
+                indeg[heads[eid]] += 1
         queue = [i for i in range(num_nodes) if indeg[i] == 0]
         remaining = num_nodes
     else:
         indeg = {}
         for i in alive:
             for eid in out_edges[i]:
-                dst = edges[eid].dst
+                dst = heads[eid]
                 if dst in alive:
                     indeg[dst] = indeg.get(dst, 0) + 1
         queue = [i for i in alive if indeg.get(i, 0) == 0]
@@ -321,7 +406,7 @@ def _kahn_remaining(num_nodes: int, out_edges, edges, alive=None):
         i = queue.pop()
         remaining -= 1
         for eid in out_edges[i]:
-            dst = edges[eid].dst
+            dst = heads[eid]
             if alive is not None and dst not in alive:
                 continue
             indeg[dst] -= 1
@@ -334,7 +419,7 @@ def _kahn_remaining(num_nodes: int, out_edges, edges, alive=None):
     return frozenset(i for i in alive if indeg.get(i, 0) > 0)
 
 
-def _cyclic_core(graph: BetterReplyGraph, core_nodes) -> frozenset:
+def _cyclic_core(out_edges, heads, core_nodes) -> frozenset:
     """Drop nodes downstream of every cycle (the source peel keeps anything
     reachable from a cycle, sinks included) so that each surviving node has
     a successor inside the set."""
@@ -343,8 +428,8 @@ def _cyclic_core(graph: BetterReplyGraph, core_nodes) -> frozenset:
     preds = {}
     for i in core:
         outdeg[i] = 0
-        for eid in graph.out_edges[i]:
-            dst = graph.edges[eid].dst
+        for eid in out_edges[i]:
+            dst = heads[eid]
             if dst in core:
                 outdeg[i] += 1
                 preds.setdefault(dst, []).append(i)
@@ -360,19 +445,19 @@ def _cyclic_core(graph: BetterReplyGraph, core_nodes) -> frozenset:
     return frozenset(core - removed)
 
 
-def _extract_cycle(graph: BetterReplyGraph, core_nodes) -> tuple:
-    """Walk inside the cyclic core until a node repeats; return that loop."""
-    core_nodes = _cyclic_core(graph, core_nodes)
+def _extract_cycle(graph: BetterReplyGraph, out_edges, core_nodes) -> tuple:
+    """Walk inside the cyclic core of the subgraph ``out_edges`` until a node
+    repeats; return that loop as ``Edge`` objects."""
+    heads = graph.dst
+    core_nodes = _cyclic_core(out_edges, heads, core_nodes)
     start = min(core_nodes)
     path = [start]
     path_edges = []
     seen = {start: 0}
     node = start
     while True:
-        eid = next(
-            e for e in graph.out_edges[node] if graph.edges[e].dst in core_nodes
-        )
-        node = graph.edges[eid].dst
+        eid = next(e for e in out_edges[node] if heads[e] in core_nodes)
+        node = heads[eid]
         path_edges.append(eid)
         if node in seen:
             k = seen[node]
@@ -383,10 +468,14 @@ def _extract_cycle(graph: BetterReplyGraph, core_nodes) -> tuple:
 
 def is_fip(graph: BetterReplyGraph, alive=None) -> FipResult:
     """Whether every improvement path (within ``alive``, if given) is finite."""
-    core = _kahn_remaining(graph.num_nodes, graph.out_edges, graph.edges, alive)
+    # node -> its edge ids: ranges for every node are quick to index, the
+    # view builds only what ``alive`` reaches, maybe a few nodes of many
+    off = graph.offsets
+    out = list(map(range, off, off[1:])) if alive is None else graph.out_edges
+    core = _kahn_remaining(graph.num_nodes, out, graph.dst, alive)
     if not core:
         return FipResult(True)
-    return FipResult(False, _extract_cycle(graph, core))
+    return FipResult(False, _extract_cycle(graph, out, core))
 
 
 @dataclass(frozen=True)
@@ -404,38 +493,46 @@ class WeakFipResult:
 
 
 def is_weak_fip(graph: BetterReplyGraph, alive=None) -> WeakFipResult:
-    nodes = range(graph.num_nodes) if alive is None else alive
-    node_set = None if alive is None else frozenset(alive)
-    incoming = {}
-    sink_nodes = []
-    for i in nodes:
-        outs = [
-            eid
-            for eid in graph.out_edges[i]
-            if node_set is None or graph.edges[eid].dst in node_set
-        ]
-        if not outs:
-            sink_nodes.append(i)
-        for eid in outs:
-            incoming.setdefault(graph.edges[eid].dst, []).append(eid)
-    route = {i: None for i in sink_nodes}
-    frontier = list(sink_nodes)
+    n = graph.num_nodes
+    off, src, dst = graph.offsets, graph.src, graph.dst
+    if alive is None:
+        nodes, kept = range(n), range(graph.num_edges)
+        sink_nodes = sinks(graph)
+    else:
+        nodes = frozenset(alive)
+        kept = [e for i in nodes for e in range(off[i], off[i + 1]) if dst[e] in nodes]
+        movers = {src[e] for e in kept}
+        sink_nodes = [i for i in nodes if i not in movers]
+    # a counting sort of the kept edge ids on dst, stable, so the ids
+    # entering node i are by_head[first[i]:first[i + 1]] in kept order
+    count = [0] * (n + 1)
+    for e in kept:
+        count[dst[e] + 1] += 1
+    first = array("i", itertools.accumulate(count))
+    fill = first[:n]
+    by_head = array("i", [0]) * len(kept)
+    for e in kept:
+        d = dst[e]
+        by_head[fill[d]] = e
+        fill[d] += 1
+    # breadth-first back from the sinks; -1 marks a node not reached yet
+    route = [-1] * n
+    for i in sink_nodes:
+        route[i] = None
+    frontier = sink_nodes
     while frontier:
         nxt = []
         for i in frontier:
-            for eid in incoming.get(i, ()):
-                src = graph.edges[eid].src
-                if src not in route:
-                    route[src] = eid
-                    nxt.append(src)
+            for eid in by_head[first[i] : first[i + 1]]:
+                s = src[eid]
+                if route[s] == -1:
+                    route[s] = eid
+                    nxt.append(s)
         frontier = nxt
-    total = graph.num_nodes if alive is None else len(node_set)
-    if len(route) == total:
-        if alive is None:
-            return WeakFipResult(True, tuple(route[i] for i in range(graph.num_nodes)))
-        return WeakFipResult(True, None)
-    bad = tuple(sorted(i for i in nodes if i not in route))
-    return WeakFipResult(False, None, bad)
+    bad = tuple(sorted(i for i in nodes if route[i] == -1))
+    if bad:
+        return WeakFipResult(False, None, bad)
+    return WeakFipResult(True, tuple(route) if alive is None else None)
 
 
 # restricted acyclicity ------------------------------------------------------
@@ -534,59 +631,46 @@ def is_restricted_fip(
     is searched independently - a slot either picks an edge inside the
     component or escapes it, and only in-component picks can close a cycle.
     """
-    slots = {}
-    for eid, e in enumerate(graph.edges):
-        slots.setdefault((e.src, e.voter), []).append(eid)
-
-    def default_selection():
-        return {key: eids[0] for key, eids in slots.items()}
-
-    if is_fip(graph).holds:
-        return RestrictedFipResult(True, default_selection())
+    off, heads = graph.offsets, graph.dst
+    acyclic = is_fip(graph).holds
+    # the first edge of every (node, voter) slot, in edge-id order; a slot's
+    # edges are one run of ids, so these are also the runs' boundaries
+    selection = {}
+    for eid, key in enumerate(zip(graph.src, graph.voter)):
+        selection.setdefault(key, eid)
+    if acyclic:
+        return RestrictedFipResult(True, selection)
     # forced moves are in every restriction; a cycle among them is final
-    forced = [eids[0] for eids in slots.values() if len(eids) == 1]
+    bounds = [*selection.values(), graph.num_edges]
     forced_out = [[] for _ in range(graph.num_nodes)]
-    for eid in forced:
-        forced_out[graph.edges[eid].src].append(eid)
-    core = _kahn_remaining(graph.num_nodes, forced_out, graph.edges)
+    for (node, _), lo, hi in zip(selection, bounds, bounds[1:]):
+        if hi - lo == 1:
+            forced_out[node].append(lo)
+    core = _kahn_remaining(graph.num_nodes, forced_out, heads)
     if core:
-        sub = BetterReplyGraph(
-            graph.game,
-            graph.policy,
-            graph.profiles,
-            graph.outcomes,
-            graph.edges,
-            tuple(map(tuple, forced_out)),
-        )
         return RestrictedFipResult(
-            False, forced_cycle=_extract_cycle(sub, core), branches=0
+            False, forced_cycle=_extract_cycle(graph, forced_out, core), branches=0
         )
 
     comps = [
         c for c in _scc_partition(graph.num_nodes, graph.successors) if len(c) > 1
     ]
-    selection = default_selection()
     branches = 0
-
-    node_slots = {}
-    for key in slots:
-        node_slots.setdefault(key[0], []).append(key)
 
     for comp in comps:
         # slots of this component that can move inside it; their order here
         # does not matter, the sort below fixes the search order
         comp_slots = []
         for node in comp:
-            for key in node_slots.get(node, ()):
-                eids = slots[key]
-                inside = [e for e in eids if graph.edges[e].dst in comp]
+            edge_ids = range(off[node], off[node + 1])
+            for v, eids in itertools.groupby(edge_ids, graph.voter.__getitem__):
+                eids = list(eids)
+                inside = [e for e in eids if heads[e] in comp]
                 if not inside:
                     continue
-                escape = next(
-                    (e for e in eids if graph.edges[e].dst not in comp), None
-                )
+                escape = next((e for e in eids if heads[e] not in comp), None)
                 choices = ([] if escape is None else [escape]) + inside
-                comp_slots.append((key, escape is not None, choices))
+                comp_slots.append(((node, v), escape is not None, choices))
         # fewest options first keeps the search tree narrow
         comp_slots.sort(key=lambda item: (len(item[2]), item[0]))
         chosen_out = {node: [] for node in comp}
@@ -600,7 +684,7 @@ def is_restricted_fip(
             while stack:
                 node = stack.pop()
                 for eid in chosen_out[node]:
-                    nxt = graph.edges[eid].dst
+                    nxt = heads[eid]
                     if nxt == src:
                         return True
                     if nxt not in seen:
@@ -619,7 +703,7 @@ def is_restricted_fip(
                     raise LimitError(
                         f"restriction search exceeded {branch_budget} branches"
                     )
-                dst = graph.edges[eid].dst
+                dst = heads[eid]
                 inside = dst in comp
                 if inside and closes_cycle(node, dst):
                     continue
@@ -646,6 +730,7 @@ def is_restricted_fip(
 def _longest_from(graph: BetterReplyGraph, alive=None) -> list:
     """Longest path length (in steps) from every node; needs acyclicity."""
     node_set = None if alive is None else frozenset(alive)
+    off, heads = graph.offsets, graph.dst
     length = {}
 
     def nodes():
@@ -664,8 +749,7 @@ def _longest_from(graph: BetterReplyGraph, alive=None) -> list:
             pending = []
             best = 0
             done = True
-            for eid in graph.out_edges[node]:
-                dst = graph.edges[eid].dst
+            for dst in heads[off[node] : off[node + 1]]:
                 if node_set is not None and dst not in node_set:
                     continue
                 if dst not in length:
@@ -702,12 +786,12 @@ def longest_path_from(graph: BetterReplyGraph, node: int) -> int:
 
 
 def _forward_closure(graph: BetterReplyGraph, node: int) -> frozenset:
+    off, heads = graph.offsets, graph.dst
     seen = {node}
     stack = [node]
     while stack:
         i = stack.pop()
-        for eid in graph.out_edges[i]:
-            dst = graph.edges[eid].dst
+        for dst in heads[off[i] : off[i + 1]]:
             if dst not in seen:
                 seen.add(dst)
                 stack.append(dst)
@@ -735,12 +819,9 @@ def _restricted_from(graph: BetterReplyGraph, start: int, branch_budget: int) ->
     reachable under the partial restriction, so choices are made lazily
     along the exploration frontier.
     """
+    off, heads = graph.offsets, graph.dst
     slots_of = [
-        tuple(
-            sorted(
-                {e.voter for e in (graph.edges[eid] for eid in graph.out_edges[i])}
-            )
-        )
+        tuple(sorted(set(graph.voter[off[i] : off[i + 1]])))
         for i in range(graph.num_nodes)
     ]
     chosen = {}
@@ -755,7 +836,7 @@ def _restricted_from(graph: BetterReplyGraph, start: int, branch_budget: int) ->
         while stack:
             node = stack.pop()
             for eid in chosen_out.get(node, ()):
-                nxt = graph.edges[eid].dst
+                nxt = heads[eid]
                 if nxt == dst:
                     return True
                 if nxt not in seen:
@@ -773,7 +854,7 @@ def _restricted_from(graph: BetterReplyGraph, start: int, branch_budget: int) ->
                 if (node, voter) not in chosen:
                     return node, voter
             for eid in chosen_out.get(node, ()):
-                dst = graph.edges[eid].dst
+                dst = heads[eid]
                 if dst not in seen:
                     seen.add(dst)
                     stack.append(dst)
@@ -791,7 +872,7 @@ def _restricted_from(graph: BetterReplyGraph, start: int, branch_budget: int) ->
                 raise LimitError(
                     f"restriction search exceeded {branch_budget} branches"
                 )
-            dst = graph.edges[eid].dst
+            dst = heads[eid]
             if reaches(dst, node):
                 continue  # closing this edge would complete a cycle
             chosen[slot] = eid
@@ -814,7 +895,8 @@ def from_state(
     """Acyclicity of play starting at ``start`` only."""
     node = graph.node_of(tuple(start))
     reachable = _forward_closure(graph, node)
-    sub_sinks = [i for i in reachable if not graph.out_edges[i]]
+    off = graph.offsets
+    sub_sinks = [i for i in reachable if off[i] == off[i + 1]]
     fip_verdict = is_fip(graph, reachable)
     weak = is_weak_fip(graph, reachable).holds
     if fip_verdict.holds:
@@ -1046,8 +1128,7 @@ def direct_closure(form, start: Profile, node_limit: Optional[int] = None) -> tu
     direct reply of every game on this form is such a move, so any property
     holding on this closure holds on all direct-reply paths of all games.
     """
-    if node_limit is None:
-        node_limit = default_node_limit()
+    node_limit = _node_limit(node_limit)
     start = tuple(start)
     form.validate_profile(start)
     seen = {start}
@@ -1141,6 +1222,7 @@ def conjecture_scan(
         raise ConfigurationError(f"unknown property {prop!r}")
     if policy is None:
         policy = ReplyPolicy(ReplyKind.DIRECT, ComparatorMode.LEX_SINGLETON)
+    node_limit = _node_limit(node_limit)
     rng = random.Random(seed)
     violations = []
     checked = 0

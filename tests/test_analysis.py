@@ -1,7 +1,9 @@
 """Reply graphs, acyclicity classes, reports, and scans."""
 
+import gc
 import itertools
 import random
+from array import array
 from math import prod
 
 import pytest
@@ -48,7 +50,13 @@ from ivote import (
     sinks,
     truthful_profile,
 )
-from ivote.analysis import _Skeleton, _reply_graph, _scc_partition, longest_path_from
+from ivote.analysis import (
+    Edge,
+    _Skeleton,
+    _reply_graph,
+    _scc_partition,
+    longest_path_from,
+)
 from ivote.dynamics import run_path, SchedulerSpec, RoundRobin
 
 BETTER_LEX = ReplyPolicy(ReplyKind.BETTER, ComparatorMode.LEX_SINGLETON)
@@ -101,18 +109,24 @@ def walk_route(graph, route, start):
 
 
 def selection_subgraph(graph, selection):
-    out = [[] for _ in range(graph.num_nodes)]
+    """The graph of the selected edges only, with its own edge ids."""
     for (node, voter), eid in selection.items():
         assert eid in graph.slot_edges(node, voter)
-        out[node].append(eid)
-    return BetterReplyGraph(
-        graph.game,
-        graph.policy,
-        graph.profiles,
-        graph.outcomes,
-        graph.edges,
-        tuple(map(tuple, out)),
+    kept = sorted(selection.values())
+    offsets = array("i", [0] * (graph.num_nodes + 1))
+    for eid in kept:
+        offsets[graph.src[eid] + 1] += 1
+    for i in range(graph.num_nodes):
+        offsets[i + 1] += offsets[i]
+    columns = (
+        array("i", (getattr(graph, name)[eid] for eid in kept))
+        for name in ("src", "voter", "action", "dst")
     )
+    sub = BetterReplyGraph(
+        graph.game, graph.policy, graph.profiles, graph.outcomes, offsets, *columns
+    )
+    assert_views_match_columns(sub)
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +153,7 @@ def assert_matches_improvement_sets(graph):
     game, policy = graph.game, graph.policy
     form = game.form
     assert graph.num_nodes == prod(len(form.actions(v)) for v in range(game.n))
+    assert_views_match_columns(graph)
     for node in range(graph.num_nodes):
         p = graph.profile_of(node)
         assert graph.node_of(p) == node
@@ -149,6 +164,36 @@ def assert_matches_improvement_sets(graph):
             assert tuple(graph.edges[e].action for e in eids) == want
             for e in (graph.edges[e] for e in eids):
                 assert graph.profile_of(e.dst) == p[:v] + (e.action,) + p[v + 1 :]
+
+
+def assert_views_match_columns(graph):
+    """``edges``, ``out_edges``, ``successors`` and ``slot_edges`` agree with
+    the offsets and the four edge columns."""
+    form = graph.game.form
+    edges = list(graph.edges)
+    assert len(graph.edges) == graph.num_edges == len(edges)
+    assert edges == [graph.edges[e] for e in range(graph.num_edges)]
+    assert edges == [
+        Edge(*cols)
+        for cols in zip(graph.src, graph.voter, graph.action, graph.dst)
+    ]
+    off = graph.offsets
+    assert len(off) == graph.num_nodes + 1 == len(graph.out_edges) + 1
+    assert off[0] == 0 and off[-1] == graph.num_edges
+    assert all(a <= b for a, b in zip(off, off[1:]))
+    for i in range(graph.num_nodes):
+        eids = graph.out_edges[i]
+        assert eids == tuple(e for e in range(graph.num_edges) if edges[e].src == i)
+        keys = [
+            (edges[e].voter, form.actions(edges[e].voter).index(edges[e].action))
+            for e in eids
+        ]
+        assert keys == sorted(keys)
+        assert graph.successors(i) == tuple(edges[e].dst for e in eids)
+        for v in range(graph.game.n):
+            assert graph.slot_edges(i, v) == tuple(
+                e for e in eids if edges[e].voter == v
+            )
 
 
 @st.composite
@@ -195,6 +240,22 @@ def valid_modes(form):
     return modes
 
 
+def test_graph_stores_no_edge_objects():
+    # a graph keeps int columns; Edge objects exist only while a caller
+    # holds what the edges view returned
+    def live_edges():
+        return sum(type(o) is Edge for o in gc.get_objects())
+
+    gc.collect()
+    before = live_edges()
+    graph = build_graph(random_game(GameParams(3, 5), 0), BETTER_LEX)
+    assert graph.num_edges == 480
+    assert live_edges() <= before
+    first = graph.edges[0]
+    assert live_edges() <= before + 1
+    assert first == Edge(graph.src[0], graph.voter[0], graph.action[0], graph.dst[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_forms(), st.integers(0, 10**6))
 def test_shared_skeleton_matches_standalone_builds(form, seed):
@@ -239,6 +300,12 @@ def test_node_limit_is_enforced():
         build_graph(game, BETTER_LEX, node_limit=8)
     graph = build_graph(game, BETTER_LEX, node_limit=9)
     assert graph.num_nodes == 9
+    # a limit below 1 is a usage error, not a limit every graph exceeds
+    for bad in (0, -3):
+        with pytest.raises(ConfigurationError):
+            build_graph(game, BETTER_LEX, node_limit=bad)
+        with pytest.raises(ConfigurationError):
+            direct_closure(game.form, (0, 0), node_limit=bad)
 
 
 def test_node_limit_environment_override(monkeypatch):
@@ -281,6 +348,64 @@ def test_is_fip_returns_closed_improving_cycle():
         assert e.dst == nxt.src
         eid = graph.slot_edges(e.src, e.voter)
         assert any(graph.edges[i] == e for i in eid)
+
+
+def naive_has_cycle(graph):
+    """Plain recursive depth-first search for a back edge over successors."""
+    state = [0] * graph.num_nodes  # 0 new, 1 on the path, 2 done
+
+    def visit(i):
+        state[i] = 1
+        for j in graph.successors(i):
+            if state[j] == 1 or (state[j] == 0 and visit(j)):
+                return True
+        state[i] = 2
+        return False
+
+    return any(state[i] == 0 and visit(i) for i in range(graph.num_nodes))
+
+
+def naive_cannot_reach_sink(graph):
+    """Nodes whose forward closure over successors holds no sink."""
+    bad = set()
+    for start in range(graph.num_nodes):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for j in graph.successors(stack.pop()):
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if all(graph.successors(i) for i in seen):
+            bad.add(start)
+    return bad
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_forms(), st.integers(0, 10**6))
+def test_certificates_match_plain_references(form, seed):
+    rng = random.Random(seed)
+    prefs = tuple(
+        PreferenceOrder(rng.sample(range(form.m), form.m)) for _ in range(form.n)
+    )
+    game = Game(form, prefs, random_consistent_utilities(prefs, rng))
+    for mode in valid_modes(form):
+        for kind in ReplyKind:
+            graph = build_graph(game, ReplyPolicy(kind, mode))
+            fip = is_fip(graph)
+            assert fip.holds == (not naive_has_cycle(graph))
+            if not fip.holds:
+                cycle = fip.cycle
+                for e, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+                    assert e.dst == nxt.src
+                    assert e in graph.edges
+            weak = is_weak_fip(graph)
+            bad = naive_cannot_reach_sink(graph)
+            assert weak.holds == (not bad)
+            assert set(weak.unreachable) == bad
+            if weak.holds:
+                for node in range(graph.num_nodes):
+                    walk_route(graph, weak.route, node)
 
 
 def test_is_fip_holds_on_dag():

@@ -267,6 +267,16 @@ def test_classify_node_limit_exit_code(capsys, lbc):
     assert "above the limit" in err
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+@pytest.mark.parametrize("sub", ["classify", "graph", "scan"])
+def test_node_limit_below_one_is_a_usage_error(capsys, lbc, sub, limit):
+    argv = [sub] + ([] if sub == "scan" else [lbc]) + ["--node-limit", limit]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: node limit must be a positive integer: {limit}\n"
+
+
 def test_classify_reports_stack_exhaustion_as_a_resource_limit(tmp_path):
     # the restriction search on this 4,096-state game recurses once per
     # slot and runs out of stack; that is no verdict, so not exit 1
