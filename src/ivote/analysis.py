@@ -29,26 +29,22 @@ import os
 import random
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from math import prod
 from operator import eq, getitem, index, itemgetter
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     ConfigurationError,
     Game,
-    GameSpecError,
     LimitError,
-    PluralityForm,
     PreferenceOrder,
     Profile,
     TieBreak,
     UnsupportedOperationError,
-    UtilityVector,
-    default_names,
-    format_candidate_set,
     format_profile,
     random_consistent_utilities,
+    random_plurality_game,
 )
 from .comparators import ComparatorMode, OutcomeComparator, SetComparison
 from .dynamics import (
@@ -158,7 +154,7 @@ class BetterReplyGraph:
 
     __slots__ = (
         "game", "policy", "profiles", "outcomes",
-        "offsets", "src", "voter", "action", "dst", "_index",
+        "offsets", "src", "voter", "action", "dst",
     )
 
     def __init__(
@@ -173,8 +169,6 @@ class BetterReplyGraph:
         self.voter = voter
         self.action = action
         self.dst = dst
-        # profile -> node, built by the first node_of call: sweeps never ask
-        self._index = None
 
     @property
     def edges(self) -> _EdgeView:
@@ -193,13 +187,16 @@ class BetterReplyGraph:
         return len(self.dst)
 
     def node_of(self, profile: Profile) -> int:
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.profiles)}
-        try:
-            return self._index[tuple(profile)]
-        except KeyError:
-            self.game.form.validate_profile(tuple(profile))
-            raise
+        # nodes are in itertools.product order: a mixed-radix number whose
+        # digits are the voters' action positions
+        form = self.game.form
+        profile = tuple(profile)
+        form.validate_profile(profile)
+        node = 0
+        for v, a in enumerate(profile):
+            actions = form.actions(v)
+            node = node * len(actions) + actions.index(a)
+        return node
 
     def profile_of(self, node: int) -> Profile:
         return self.profiles[node]
@@ -656,71 +653,99 @@ def is_restricted_fip(
         c for c in _scc_partition(graph.num_nodes, graph.successors) if len(c) > 1
     ]
     branches = 0
-
     for comp in comps:
-        # slots of this component that can move inside it; their order here
-        # does not matter, the sort below fixes the search order
+        # slots of this component that can move inside it, offering their
+        # first escape (if any) and then the inside edges; only inside
+        # edges can close a cycle, but checking escapes too changes nothing
         comp_slots = []
         for node in comp:
             edge_ids = range(off[node], off[node + 1])
             for v, eids in itertools.groupby(edge_ids, graph.voter.__getitem__):
                 eids = list(eids)
                 inside = [e for e in eids if heads[e] in comp]
-                if not inside:
-                    continue
-                escape = next((e for e in eids if heads[e] not in comp), None)
-                choices = ([] if escape is None else [escape]) + inside
-                comp_slots.append(((node, v), escape is not None, choices))
+                if inside:
+                    escape = [e for e in eids if heads[e] not in comp][:1]
+                    comp_slots.append(((node, v), escape + inside))
         # fewest options first keeps the search tree narrow
-        comp_slots.sort(key=lambda item: (len(item[2]), item[0]))
-        chosen_out = {node: [] for node in comp}
+        comp_slots.sort(key=lambda item: (len(item[1]), item[0]))
 
-        def closes_cycle(src, dst):
-            # would dst -> ... -> src exist through already-chosen edges?
-            if dst == src:
-                return True
-            seen = {dst}
-            stack = [dst]
-            while stack:
-                node = stack.pop()
-                for eid in chosen_out[node]:
-                    nxt = heads[eid]
-                    if nxt == src:
-                        return True
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            return False
+        def next_slot(chosen, chosen_out):
+            # chosen has one entry per open frame, so its size is the depth
+            depth = len(chosen)
+            return comp_slots[depth] if depth < len(comp_slots) else None
 
-        def solve(k):
-            nonlocal branches
-            if k == len(comp_slots):
-                return True
-            (node, voter), has_escape, choices = comp_slots[k]
-            for eid in choices:
-                branches += 1
-                if branches > branch_budget:
-                    raise LimitError(
-                        f"restriction search exceeded {branch_budget} branches"
-                    )
-                dst = heads[eid]
-                inside = dst in comp
-                if inside and closes_cycle(node, dst):
-                    continue
-                if inside:
-                    chosen_out[node].append(eid)
-                ok = solve(k + 1)
-                if inside:
-                    chosen_out[node].pop()
-                if ok:
-                    selection[(node, voter)] = eid
-                    return True
-            return False
-
-        if not solve(0):
+        chosen, branches = _search_restriction(
+            heads, next_slot, branch_budget, branches
+        )
+        if chosen is None:
             return RestrictedFipResult(False, exhausted=True, branches=branches)
+        selection.update(chosen)
 
     return RestrictedFipResult(True, selection, branches=branches)
+
+
+def _reaches(heads, chosen_out, src, dst) -> bool:
+    """Is there a path src -> ... -> dst through the chosen edges?"""
+    if src == dst:
+        return True
+    seen = {src}
+    stack = [src]
+    while stack:
+        for eid in chosen_out.get(stack.pop(), ()):
+            nxt = heads[eid]
+            if nxt == dst:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def _search_restriction(heads, next_slot, branch_budget: int, branches: int = 0):
+    """Depth-first search for one edge per slot that closes no cycle.
+
+    ``heads`` is the graph's ``dst`` column.
+    ``next_slot(chosen, chosen_out)`` returns the next undecided
+    ``((node, voter), choices)`` given the decisions so far (``chosen``
+    maps slots to edge ids, ``chosen_out`` nodes to their chosen edge ids)
+    or None when nothing is left to decide. ``chosen`` holds exactly one
+    entry per open frame, so ``len(chosen)`` is the depth of the slot asked
+    for; the returned slot must not be in ``chosen``. Choices are tried in
+    order and skipped when they would close a cycle of chosen edges. Returns
+    ``(chosen, branches)``, with ``chosen`` None when every choice fails;
+    raises LimitError once more than ``branch_budget`` choices were tried.
+    """
+    chosen = {}
+    chosen_out = {}
+    picked = next_slot(chosen, chosen_out)
+    if picked is None:
+        return chosen, branches
+    frames = [[*picked, 0]]  # one [slot, choices, next choice index] per slot
+    while frames:
+        frame = frames[-1]
+        slot, choices, i = frame
+        node = slot[0]
+        if slot in chosen:
+            # back from a subtree that failed: undo this slot's choice
+            del chosen[slot]
+            chosen_out[node].pop()
+        if i == len(choices):
+            frames.pop()
+            continue
+        frame[2] = i + 1
+        branches += 1
+        if branches > branch_budget:
+            raise LimitError(f"restriction search exceeded {branch_budget} branches")
+        eid = choices[i]
+        if _reaches(heads, chosen_out, heads[eid], node):
+            continue  # this edge would close a cycle
+        chosen[slot] = eid
+        chosen_out.setdefault(node, []).append(eid)
+        picked = next_slot(chosen, chosen_out)
+        if picked is None:
+            return chosen, branches
+        frames.append([*picked, 0])
+    return None, branches
 
 
 # ---------------------------------------------------------------------------
@@ -824,27 +849,8 @@ def _restricted_from(graph: BetterReplyGraph, start: int, branch_budget: int) ->
         tuple(sorted(set(graph.voter[off[i] : off[i + 1]])))
         for i in range(graph.num_nodes)
     ]
-    chosen = {}
-    chosen_out = {}
-    branches = 0
 
-    def reaches(src, dst):
-        if src == dst:
-            return True
-        seen = {src}
-        stack = [src]
-        while stack:
-            node = stack.pop()
-            for eid in chosen_out.get(node, ()):
-                nxt = heads[eid]
-                if nxt == dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
-    def pending_slot():
+    def next_slot(chosen, chosen_out):
         # a reachable (node, voter) slot without a decision yet
         seen = {start}
         stack = [start]
@@ -852,7 +858,7 @@ def _restricted_from(graph: BetterReplyGraph, start: int, branch_budget: int) ->
             node = stack.pop()
             for voter in slots_of[node]:
                 if (node, voter) not in chosen:
-                    return node, voter
+                    return (node, voter), graph.slot_edges(node, voter)
             for eid in chosen_out.get(node, ()):
                 dst = heads[eid]
                 if dst not in seen:
@@ -860,30 +866,7 @@ def _restricted_from(graph: BetterReplyGraph, start: int, branch_budget: int) ->
                     stack.append(dst)
         return None
 
-    def solve():
-        nonlocal branches
-        slot = pending_slot()
-        if slot is None:
-            return True
-        node, voter = slot
-        for eid in graph.slot_edges(node, voter):
-            branches += 1
-            if branches > branch_budget:
-                raise LimitError(
-                    f"restriction search exceeded {branch_budget} branches"
-                )
-            dst = heads[eid]
-            if reaches(dst, node):
-                continue  # closing this edge would complete a cycle
-            chosen[slot] = eid
-            chosen_out.setdefault(node, []).append(eid)
-            if solve():
-                return True
-            chosen_out[node].pop()
-            del chosen[slot]
-        return False
-
-    return solve()
+    return _search_restriction(heads, next_slot, branch_budget)[0] is not None
 
 
 def from_state(
@@ -972,9 +955,14 @@ def classify_game(
     longest = None
     if fip_verdict.holds:
         longest = max(_longest_from(graph).values(), default=0)
+    # a restriction acyclic everywhere is acyclic from every start, so the
+    # per-start search runs only when there is none
     reports = tuple(
-        from_state(graph, tuple(s), branch_budget=branch_budget) for s in starts
+        from_state(graph, tuple(s), not restricted.holds, branch_budget)
+        for s in starts
     )
+    if restricted.holds:
+        reports = tuple(replace(r, restricted_fip=True) for r in reports)
     return GameReport(
         game=game,
         policy=policy,
@@ -1190,19 +1178,6 @@ class ScanReport:
     violations: tuple
 
 
-def random_weighted_game(params: ScanParams, rng: random.Random) -> Game:
-    m = rng.randint(params.min_candidates, params.max_candidates)
-    n = rng.randint(params.min_voters, params.max_voters)
-    names = default_names(m)
-    weights = tuple(rng.randint(1, params.weight_bound) for _ in range(n))
-    scores = tuple(rng.randint(0, params.score_bound) for _ in range(m))
-    form = PluralityForm(names, weights, scores, TieBreak.LEXICOGRAPHIC)
-    prefs = tuple(
-        PreferenceOrder(rng.sample(range(m), m)) for _ in range(n)
-    )
-    return Game(form, prefs)
-
-
 def conjecture_scan(
     params: ScanParams,
     trials: int,
@@ -1227,7 +1202,11 @@ def conjecture_scan(
     violations = []
     checked = 0
     for _ in range(trials):
-        game = random_weighted_game(params, rng)
+        m = rng.randint(params.min_candidates, params.max_candidates)
+        n = rng.randint(params.min_voters, params.max_voters)
+        game = random_plurality_game(
+            m, n, params.weight_bound, params.score_bound, TieBreak.LEXICOGRAPHIC, rng
+        )
         graph = build_graph(game, policy, node_limit)
         checked += 1
         witness = None

@@ -33,7 +33,7 @@ from .core import (
     TieBreak,
     UtilityVector,
     default_names,
-    random_consistent_utilities,
+    random_plurality_game,
 )
 from .comparators import ComparatorMode
 from .dynamics import (
@@ -86,19 +86,14 @@ def random_game(params: GameParams, seed: int) -> Game:
     orders. Randomized tie-breaking also attaches consistent utilities,
     since set comparators need them.
     """
-    rng = random.Random(seed)
-    m, n = params.candidates, params.voters
-    form = PluralityForm(
-        default_names(m),
-        tuple(rng.randint(1, params.weight_bound) for _ in range(n)),
-        tuple(rng.randint(0, params.score_bound) for _ in range(m)),
+    return random_plurality_game(
+        params.candidates,
+        params.voters,
+        params.weight_bound,
+        params.score_bound,
         params.tiebreak,
+        random.Random(seed),
     )
-    prefs = tuple(PreferenceOrder(rng.sample(range(m), m)) for _ in range(n))
-    utilities = None
-    if params.tiebreak is TieBreak.RANDOMIZED:
-        utilities = random_consistent_utilities(prefs, rng)
-    return Game(form, prefs, utilities)
 
 
 def dictatorship_form(m: int, n: int, dictator: int = 0) -> TabularForm:

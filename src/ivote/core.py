@@ -588,6 +588,25 @@ def random_consistent_utilities(prefs: Sequence[PreferenceOrder], rng) -> tuple:
     return tuple(out)
 
 
+def random_plurality_game(
+    m: int, n: int, weight_bound: int, score_bound: int, tiebreak: TieBreak, rng
+) -> Game:
+    """A plurality game drawn from ``rng``: weights uniform on
+    1..weight_bound, initial scores on 0..score_bound, uniform random
+    preference orders, and consistent utilities under randomized ties."""
+    form = PluralityForm(
+        default_names(m),
+        tuple(rng.randint(1, weight_bound) for _ in range(n)),
+        tuple(rng.randint(0, score_bound) for _ in range(m)),
+        tiebreak,
+    )
+    prefs = tuple(PreferenceOrder(rng.sample(range(m), m)) for _ in range(n))
+    utilities = None
+    if tiebreak is TieBreak.RANDOMIZED:
+        utilities = random_consistent_utilities(prefs, rng)
+    return Game(form, prefs, utilities)
+
+
 def format_candidate_set(form, candidates: Iterable[int]) -> str:
     """Render a candidate set as ``{a,b}`` in candidate-index order."""
     return "{" + ",".join(form.names[c] for c in sorted(candidates)) + "}"

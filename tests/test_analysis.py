@@ -181,9 +181,12 @@ def assert_views_match_columns(graph):
     assert len(off) == graph.num_nodes + 1 == len(graph.out_edges) + 1
     assert off[0] == 0 and off[-1] == graph.num_edges
     assert all(a <= b for a, b in zip(off, off[1:]))
+    by_src = [[] for _ in range(graph.num_nodes)]
+    for e, edge in enumerate(edges):
+        by_src[edge.src].append(e)
     for i in range(graph.num_nodes):
         eids = graph.out_edges[i]
-        assert eids == tuple(e for e in range(graph.num_edges) if edges[e].src == i)
+        assert eids == tuple(by_src[i])
         keys = [
             (edges[e].voter, form.actions(edges[e].voter).index(edges[e].action))
             for e in eids
@@ -467,6 +470,74 @@ def test_restricted_fip_searches_every_cyclic_component():
     assert is_fip(selection_subgraph(graph, verdict.selection)).holds
 
 
+def test_restricted_fip_decides_the_4096_state_game():
+    # the largest cyclic component has 2,247 nodes, far deeper than the
+    # interpreter's recursion limit; the search keeps its own stack
+    graph = build_graph(random_game(GameParams(4, 6), 7), BETTER_LEX)
+    sccs = _scc_partition(graph.num_nodes, graph.successors)
+    assert max(map(len, sccs)) == 2247
+    verdict = is_restricted_fip(graph)
+    assert verdict.holds
+    assert verdict.branches == 5322
+    assert len(verdict.selection) == 8070
+    assert is_fip(selection_subgraph(graph, verdict.selection)).holds
+
+
+def brute_force_restrictions(graph, limit=4096):
+    """Try every selection of one edge per (node, voter) slot.
+
+    Returns whether some selection leaves the graph acyclic, and the nodes
+    from which some selection reaches no cycle; None when there are more
+    than ``limit`` selections.
+    """
+    n = graph.num_nodes
+    slots = [graph.slot_edges(i, v) for i in range(n) for v in range(graph.game.n)]
+    slots = [eids for eids in slots if eids]
+    if prod(map(len, slots)) > limit:
+        return None
+    some_acyclic = False
+    safe = set()
+    for selection in itertools.product(*slots):
+        preds = [[] for _ in range(n)]
+        left = [0] * n  # selected moves not yet known to avoid every cycle
+        for eid in selection:
+            preds[graph.dst[eid]].append(graph.src[eid])
+            left[graph.src[eid]] += 1
+        # peel nodes whose selected moves all lead to peeled nodes; the
+        # nodes left over reach a cycle
+        stack = [i for i in range(n) if not left[i]]
+        peeled = set(stack)
+        while stack:
+            for i in preds[stack.pop()]:
+                left[i] -= 1
+                if not left[i]:
+                    peeled.add(i)
+                    stack.append(i)
+        some_acyclic |= len(peeled) == n
+        safe |= peeled
+    return some_acyclic, safe
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_forms(), st.integers(0, 10**6))
+def test_restriction_verdicts_match_brute_force(form, seed):
+    rng = random.Random(seed)
+    prefs = tuple(
+        PreferenceOrder(rng.sample(range(form.m), form.m)) for _ in range(form.n)
+    )
+    game = Game(form, prefs, random_consistent_utilities(prefs, rng))
+    for mode in valid_modes(form):
+        for kind in ReplyKind:
+            graph = build_graph(game, ReplyPolicy(kind, mode))
+            brute = brute_force_restrictions(graph)
+            if brute is None:
+                continue
+            some_acyclic, safe = brute
+            assert is_restricted_fip(graph).holds == some_acyclic
+            for node, profile in enumerate(graph.profiles):
+                assert from_state(graph, profile).restricted_fip == (node in safe)
+
+
 def test_restricted_fip_forced_cycle():
     graph = build_graph(ring_game(), BETTER_LEX)
     verdict = is_restricted_fip(graph)
@@ -595,6 +666,17 @@ def test_classify_game_report_consistency():
         fs = report.from_starts[0]
         assert hierarchy_holds(fs.has_ne, fs.fip, fs.weak_fip, fs.restricted_fip)
         assert fs.reachable <= report.num_nodes
+
+
+def test_classify_game_answers_starts_from_the_global_restriction():
+    # a restriction acyclic everywhere settles every start; from this one
+    # the per-start search alone outruns a 500,000-branch budget
+    game = random_game(GameParams(4, 6), 7)
+    start = (2, 2, 3, 3, 1, 2)
+    report = classify_game(game, BETTER_LEX, starts=(start,), branch_budget=10_000)
+    assert report.restricted_fip.holds
+    assert not report.from_starts[0].fip
+    assert report.from_starts[0].restricted_fip is True
 
 
 def test_render_game_report_mentions_the_verdicts():

@@ -277,20 +277,38 @@ def test_node_limit_below_one_is_a_usage_error(capsys, lbc, sub, limit):
     assert err == f"error: node limit must be a positive integer: {limit}\n"
 
 
-def test_classify_reports_stack_exhaustion_as_a_resource_limit(tmp_path):
-    # the restriction search on this 4,096-state game recurses once per
-    # slot and runs out of stack; that is no verdict, so not exit 1
+def test_classify_reports_stack_exhaustion_as_a_resource_limit(
+    capsys, monkeypatch, lbc
+):
+    # an analysis that recurses past the stack gives no verdict: exit 3
+    # with a one-line error, not exit 1 and not a traceback
+    def bottomless(*args, **kwargs):
+        return bottomless(*args, **kwargs)
+
+    monkeypatch.setattr("ivote.cli.classify_game", bottomless)
+    code, out, err = run(capsys, "classify", lbc)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: RecursionError:")
+    assert err.count("\n") == 1
+
+
+def test_classify_decides_the_4096_state_game(tmp_path):
+    # its largest cyclic component has 2,247 nodes; the restriction search
+    # keeps its own stack, so depth is no limit and the verdict is final
     path = tmp_path / "lex4096.game"
     dump(random_game(GameParams(4, 6), 7), str(path))
     proc = subprocess.run(
         [sys.executable, "-m", "ivote.cli", "classify", str(path)],
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: RecursionError:")
-    assert proc.stderr.count("\n") == 1
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    for line in ("fip: no", "weak_fip: yes", "restricted_fip: yes"):
+        assert line in lines
+    assert "  restriction over 8070 slots with an acyclic move graph" in lines
 
 
 # --- graph ---

@@ -1,5 +1,6 @@
 """The plain-text game format: parsing, errors, and round-trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -251,3 +252,53 @@ def test_random_games_round_trip(m, n, seed, tiebreak):
     text = dumps(game)
     assert loads(text) == game
     assert dumps(loads(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# malformed input
+
+FUZZ_SOURCES = (
+    *(dumps(entry.game) for entry in catalog()),
+    dumps(restricted_action_form()),
+    dumps(random_game(GameParams(3, 3, 3, 2, TieBreak.RANDOMIZED), 5)),
+    PLURALITY_TEXT,
+)
+FUZZ_TOKENS = (
+    "\n", "=", ">", "->", "*", ",", "#", "-1", "0", "7", "3/0", "1.5", "x",
+    "a,a", "w=0", "actions=", "prefs", "utilities", "map", "voter", "form",
+    "tabular", "candidates", "tiebreak", "initial_scores",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(FUZZ_SOURCES),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("delete", "duplicate", "replace", "insert")),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_mutated_files_parse_or_raise_game_file_error(source, edits):
+    # whitespace runs stay as separators; the odd-numbered pieces are tokens
+    pieces = re.split(r"(\S+)", source)
+    pool = FUZZ_TOKENS + tuple(pieces[1::2])
+    for op, where, what in edits:
+        i = 2 * (where % (len(pieces) // 2)) + 1
+        token = pool[what % len(pool)]
+        if op == "delete":
+            pieces[i] = ""
+        elif op == "duplicate":
+            pieces[i] = f"{pieces[i]} {pieces[i]}"
+        elif op == "replace":
+            pieces[i] = token
+        else:
+            pieces[i] = f"{token} {pieces[i]}"
+    try:
+        loads("".join(pieces))
+    except GameFileError:
+        pass
