@@ -29,7 +29,7 @@ import os
 import random
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import prod
 from operator import eq, getitem, index, itemgetter
 from typing import Optional
@@ -373,47 +373,45 @@ def nash_equilibria(
 
 @dataclass(frozen=True)
 class FipResult:
-    """Acyclicity verdict; ``cycle`` is a closed edge walk when it fails."""
+    """Acyclicity verdict. When it holds, ``order`` lists the nodes checked
+    in a topological order (Kahn's source peel); when it fails, ``cycle`` is
+    a closed edge walk."""
 
     holds: bool
     cycle: Optional[tuple] = None
+    # one of many valid orders: left out of ==, hash and repr
+    order: Optional[array] = field(default=None, repr=False, compare=False)
 
 
-def _kahn_remaining(num_nodes: int, out_edges, heads, alive=None):
-    """Nodes left after peeling indegree-0 nodes; empty iff acyclic on
-    ``alive`` (all nodes when None). ``out_edges[i]`` lists node i's edge
-    ids and ``heads[eid]`` is the node edge ``eid`` enters."""
+def _peel(num_nodes: int, out_edges, heads, alive=None) -> list:
+    """Kahn's source peel of ``alive`` (all nodes when None): the nodes in
+    the order they reach indegree 0. It covers every node iff the subgraph
+    is acyclic. ``out_edges[i]`` lists node i's edge ids and ``heads[eid]``
+    is the node edge ``eid`` enters."""
     if alive is None:
         indeg = [0] * num_nodes
         for eids in out_edges:
             for eid in eids:
                 indeg[heads[eid]] += 1
-        queue = [i for i in range(num_nodes) if indeg[i] == 0]
-        remaining = num_nodes
+        order = [i for i in range(num_nodes) if indeg[i] == 0]
     else:
-        indeg = {}
+        indeg = dict.fromkeys(alive, 0)
         for i in alive:
             for eid in out_edges[i]:
                 dst = heads[eid]
-                if dst in alive:
-                    indeg[dst] = indeg.get(dst, 0) + 1
-        queue = [i for i in alive if indeg.get(i, 0) == 0]
-        remaining = len(alive)
-    while queue:
-        i = queue.pop()
-        remaining -= 1
+                if dst in indeg:
+                    indeg[dst] += 1
+        order = [i for i in alive if indeg[i] == 0]
+    # the loop visits the nodes it appends, so ``order`` is also the queue
+    for i in order:
         for eid in out_edges[i]:
             dst = heads[eid]
-            if alive is not None and dst not in alive:
+            if alive is not None and dst not in indeg:
                 continue
             indeg[dst] -= 1
             if indeg[dst] == 0:
-                queue.append(dst)
-    if remaining == 0:
-        return frozenset()
-    if alive is None:
-        return frozenset(i for i in range(num_nodes) if indeg[i] > 0)
-    return frozenset(i for i in alive if indeg.get(i, 0) > 0)
+                order.append(dst)
+    return order
 
 
 def _cyclic_core(out_edges, heads, core_nodes) -> frozenset:
@@ -442,11 +440,14 @@ def _cyclic_core(out_edges, heads, core_nodes) -> frozenset:
     return frozenset(core - removed)
 
 
-def _extract_cycle(graph: BetterReplyGraph, out_edges, core_nodes) -> tuple:
-    """Walk inside the cyclic core of the subgraph ``out_edges`` until a node
-    repeats; return that loop as ``Edge`` objects."""
+def _extract_cycle(graph: BetterReplyGraph, out_edges, nodes, order) -> tuple:
+    """Walk inside the cyclic core of the subgraph ``out_edges`` on what the
+    peel ``order`` left of ``nodes`` until a node repeats; return that loop
+    as ``Edge`` objects."""
     heads = graph.dst
-    core_nodes = _cyclic_core(out_edges, heads, core_nodes)
+    left = set(nodes)
+    left.difference_update(order)  # in place: one hash table, not two
+    core_nodes = _cyclic_core(out_edges, heads, left)
     start = min(core_nodes)
     path = [start]
     path_edges = []
@@ -469,10 +470,11 @@ def is_fip(graph: BetterReplyGraph, alive=None) -> FipResult:
     # view builds only what ``alive`` reaches, maybe a few nodes of many
     off = graph.offsets
     out = list(map(range, off, off[1:])) if alive is None else graph.out_edges
-    core = _kahn_remaining(graph.num_nodes, out, graph.dst, alive)
-    if not core:
-        return FipResult(True)
-    return FipResult(False, _extract_cycle(graph, out, core))
+    order = _peel(graph.num_nodes, out, graph.dst, alive)
+    nodes = range(graph.num_nodes) if alive is None else alive
+    if len(order) == len(nodes):
+        return FipResult(True, order=array("i", order))
+    return FipResult(False, _extract_cycle(graph, out, nodes, order))
 
 
 @dataclass(frozen=True)
@@ -643,11 +645,10 @@ def is_restricted_fip(
     for (node, _), lo, hi in zip(selection, bounds, bounds[1:]):
         if hi - lo == 1:
             forced_out[node].append(lo)
-    core = _kahn_remaining(graph.num_nodes, forced_out, heads)
-    if core:
-        return RestrictedFipResult(
-            False, forced_cycle=_extract_cycle(graph, forced_out, core), branches=0
-        )
+    order = _peel(graph.num_nodes, forced_out, heads)
+    if len(order) < graph.num_nodes:
+        cycle = _extract_cycle(graph, forced_out, range(graph.num_nodes), order)
+        return RestrictedFipResult(False, forced_cycle=cycle, branches=0)
 
     comps = [
         c for c in _scc_partition(graph.num_nodes, graph.successors) if len(c) > 1
@@ -752,41 +753,16 @@ def _search_restriction(heads, next_slot, branch_budget: int, branches: int = 0)
 # path-length and per-start analysis
 
 
-def _longest_from(graph: BetterReplyGraph, alive=None) -> list:
-    """Longest path length (in steps) from every node; needs acyclicity."""
-    node_set = None if alive is None else frozenset(alive)
+def _longest_from(graph: BetterReplyGraph, order) -> array:
+    """Longest path length (in steps) from every node of ``order``, a
+    topological order of a node set closed under successors, so one reverse
+    sweep sees each node's successors first. Nodes outside it read 0."""
     off, heads = graph.offsets, graph.dst
-    length = {}
-
-    def nodes():
-        return range(graph.num_nodes) if node_set is None else node_set
-
-    # iterative DFS with memo; graphs are acyclic here so this terminates
-    for root in nodes():
-        if root in length:
-            continue
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if node in length:
-                stack.pop()
-                continue
-            pending = []
-            best = 0
-            done = True
-            for dst in heads[off[node] : off[node + 1]]:
-                if node_set is not None and dst not in node_set:
-                    continue
-                if dst not in length:
-                    pending.append(dst)
-                    done = False
-                else:
-                    best = max(best, 1 + length[dst])
-            if done:
-                length[node] = best
-                stack.pop()
-            else:
-                stack.extend(pending)
+    length = array("i", [0]) * graph.num_nodes
+    for i in reversed(order):
+        lo, hi = off[i], off[i + 1]
+        if lo != hi:
+            length[i] = 1 + max(map(length.__getitem__, heads[lo:hi]))
     return length
 
 
@@ -797,17 +773,16 @@ def longest_convergence_path(graph: BetterReplyGraph) -> int:
         raise UnsupportedOperationError(
             "longest path is undefined on a cyclic reply graph"
         )
-    length = _longest_from(graph)
-    return max(length.values(), default=0)
+    return max(_longest_from(graph, verdict.order), default=0)
 
 
 def longest_path_from(graph: BetterReplyGraph, node: int) -> int:
-    reachable = _forward_closure(graph, node)
-    if not is_fip(graph, reachable).holds:
+    verdict = is_fip(graph, _forward_closure(graph, node))
+    if not verdict.holds:
         raise UnsupportedOperationError(
             "longest path is undefined on a cyclic reachable set"
         )
-    return _longest_from(graph, reachable)[node]
+    return _longest_from(graph, verdict.order)[node]
 
 
 def _forward_closure(graph: BetterReplyGraph, node: int) -> frozenset:
@@ -884,7 +859,7 @@ def from_state(
     weak = is_weak_fip(graph, reachable).holds
     if fip_verdict.holds:
         restricted = True
-        longest = _longest_from(graph, reachable)[node]
+        longest = _longest_from(graph, fip_verdict.order)[node]
     else:
         longest = None
         restricted = (
@@ -954,7 +929,7 @@ def classify_game(
     restricted = is_restricted_fip(graph, branch_budget)
     longest = None
     if fip_verdict.holds:
-        longest = max(_longest_from(graph).values(), default=0)
+        longest = max(_longest_from(graph, fip_verdict.order), default=0)
     # a restriction acyclic everywhere is acyclic from every start, so the
     # per-start search runs only when there is none
     reports = tuple(
@@ -1022,6 +997,12 @@ def classify_game_form(
     utility vectors per preference profile; each sampled game must satisfy
     the property for it to count as holding.
     """
+    if sample is not None and sample < 1:
+        raise ConfigurationError(f"sample count must be a positive integer: {sample}")
+    if utility_samples < 1:
+        raise ConfigurationError(
+            f"utility sample count must be a positive integer: {utility_samples}"
+        )
     rng = random.Random(seed)
     m, n = form.m, form.n
     if sample is None:
@@ -1195,6 +1176,8 @@ def conjecture_scan(
     """
     if prop not in ("has_ne", "fip", "weak_fip", "restricted_fip"):
         raise ConfigurationError(f"unknown property {prop!r}")
+    if trials < 1:
+        raise ConfigurationError(f"trial count must be a positive integer: {trials}")
     if policy is None:
         policy = ReplyPolicy(ReplyKind.DIRECT, ComparatorMode.LEX_SINGLETON)
     node_limit = _node_limit(node_limit)

@@ -14,9 +14,9 @@ Subcommands:
 Exit codes: 0 when the run converged / the property holds / nothing was
 found; 1 when a cycle, violation, or failed property was found (a witness
 is printed); 2 on usage or input errors; 3 when a resource limit was hit
-(see the IVOTE_NODE_LIMIT environment variable). Voters are 1-based on the
-command line and in all output. Output for a fixed command line and input
-is byte-identical across runs.
+(see the IVOTE_NODE_LIMIT environment variable); 4 on an internal error.
+Voters are 1-based on the command line and in all output. Output for a
+fixed command line and input is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -28,12 +28,9 @@ from typing import Optional
 from .core import (
     ConfigurationError,
     Game,
-    GameSpecError,
     IvoteError,
     LimitError,
-    ScheduleError,
     TieBreak,
-    UnsupportedOperationError,
     format_candidate_set,
     format_profile,
 )
@@ -573,26 +570,21 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GameFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (GameSpecError, ConfigurationError, UnsupportedOperationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ScheduleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except LimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except (IvoteError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except (RecursionError, MemoryError) as e:
         # the analysis ran out of stack or memory: a resource limit, no verdict
         detail = str(e) or "out of memory"
         print(f"error: {type(e).__name__}: {detail}", file=sys.stderr)
         return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:
+        # a bug, not a verdict: never exit 1, which --property reads as "fails"
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

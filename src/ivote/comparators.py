@@ -97,7 +97,6 @@ def sd_compare(order: PreferenceOrder, X: Iterable[int], Y: Iterable[int]) -> Se
     Y = frozenset(Y)
     if X == Y:
         return _EQ
-    rank = order.rank
     kx, ky = len(X), len(Y)
     ge = le = True  # X's upper cdf >= / <= Y's at every threshold so far
     cx = cy = 0

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .core import (
     ConfigurationError,

@@ -353,8 +353,21 @@ def test_is_fip_returns_closed_improving_cycle():
         assert any(graph.edges[i] == e for i in eid)
 
 
-def naive_has_cycle(graph):
-    """Plain recursive depth-first search for a back edge over successors."""
+def naive_closure(graph, start):
+    """Nodes reachable from ``start`` over successors, ``start`` included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for j in graph.successors(stack.pop()):
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+def naive_has_cycle(graph, roots=None):
+    """Plain recursive depth-first search for a back edge over successors,
+    from ``roots`` (every node when None)."""
     state = [0] * graph.num_nodes  # 0 new, 1 on the path, 2 done
 
     def visit(i):
@@ -365,23 +378,38 @@ def naive_has_cycle(graph):
         state[i] = 2
         return False
 
-    return any(state[i] == 0 and visit(i) for i in range(graph.num_nodes))
+    if roots is None:
+        roots = range(graph.num_nodes)
+    return any(state[i] == 0 and visit(i) for i in roots)
+
+
+def naive_longest_path(graph, memo, node):
+    """Plain recursive longest path (in steps) from ``node``, memoized in
+    ``memo``; nothing reachable from ``node`` may lie on a cycle."""
+    if node not in memo:
+        memo[node] = max(
+            (1 + naive_longest_path(graph, memo, j) for j in graph.successors(node)),
+            default=0,
+        )
+    return memo[node]
 
 
 def naive_cannot_reach_sink(graph):
     """Nodes whose forward closure over successors holds no sink."""
-    bad = set()
-    for start in range(graph.num_nodes):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for j in graph.successors(stack.pop()):
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if all(graph.successors(i) for i in seen):
-            bad.add(start)
-    return bad
+    return {
+        start
+        for start in range(graph.num_nodes)
+        if all(graph.successors(i) for i in naive_closure(graph, start))
+    }
+
+
+def assert_topological(graph, order, nodes):
+    """``order`` lists ``nodes`` once each, every edge among them forward."""
+    assert sorted(order) == sorted(nodes)
+    position = {node: k for k, node in enumerate(order)}
+    for e in graph.edges:
+        if e.src in position:
+            assert position[e.src] < position[e.dst]
 
 
 @settings(max_examples=40, deadline=None)
@@ -397,11 +425,29 @@ def test_certificates_match_plain_references(form, seed):
             graph = build_graph(game, ReplyPolicy(kind, mode))
             fip = is_fip(graph)
             assert fip.holds == (not naive_has_cycle(graph))
-            if not fip.holds:
+            if fip.holds:
+                assert_topological(graph, fip.order, range(graph.num_nodes))
+            else:
+                assert fip.order is None
                 cycle = fip.cycle
                 for e, nxt in zip(cycle, cycle[1:] + cycle[:1]):
                     assert e.dst == nxt.src
                     assert e in graph.edges
+            memo = {}
+            for node in range(graph.num_nodes):
+                reachable = naive_closure(graph, node)
+                if naive_has_cycle(graph, [node]):
+                    assert not is_fip(graph, frozenset(reachable)).holds
+                    with pytest.raises(UnsupportedOperationError):
+                        longest_path_from(graph, node)
+                    continue
+                expected = naive_longest_path(graph, memo, node)
+                assert longest_path_from(graph, node) == expected
+                assert from_state(graph, graph.profiles[node]).longest == expected
+                local = is_fip(graph, frozenset(reachable))
+                assert_topological(graph, local.order, reachable)
+            if fip.holds:
+                assert longest_convergence_path(graph) == max(memo.values())
             weak = is_weak_fip(graph)
             bad = naive_cannot_reach_sink(graph)
             assert weak.holds == (not bad)

@@ -20,8 +20,17 @@ from ivote.constructions import (
     random_game,
     restricted_action_form,
 )
-from ivote.core import TabularForm
-from ivote.gamefile import dump, dumps, load
+from ivote.core import (
+    ConfigurationError,
+    GameSpecError,
+    LimitError,
+    PluralityForm,
+    ScheduleError,
+    TabularForm,
+    TieBreak,
+    UnsupportedOperationError,
+)
+from ivote.gamefile import GameFileError, dump, dumps, load
 
 
 def run(capsys, *argv):
@@ -275,6 +284,63 @@ def test_node_limit_below_one_is_a_usage_error(capsys, lbc, sub, limit):
     assert code == 2
     assert out == ""
     assert err == f"error: node limit must be a positive integer: {limit}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["classify", "FORM", "--policy", "better", "--comparator", "eu",
+             "--utility-samples", "0"],
+            "utility sample count must be a positive integer: 0",
+        ),
+        (
+            ["classify", "FORM", "--sample", "-3"],
+            "sample count must be a positive integer: -3",
+        ),
+        (
+            ["classify", "FORM", "--sample", "0"],
+            "sample count must be a positive integer: 0",
+        ),
+        (["scan", "--trials", "0"], "trial count must be a positive integer: 0"),
+    ],
+)
+def test_count_below_one_is_a_usage_error(capsys, tmp_path, argv, message):
+    # zero games checked must not read as "every property holds"
+    path = tmp_path / "random.game"
+    path.write_text(
+        dumps(PluralityForm(("a", "b", "c"), (1, 1, 1), tiebreak=TieBreak.RANDOMIZED))
+    )
+    code, out, err = run(capsys, *[str(path) if a == "FORM" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (GameFileError, 2),
+        (GameSpecError, 2),
+        (ConfigurationError, 2),
+        (ScheduleError, 2),
+        (UnsupportedOperationError, 2),
+        (LimitError, 3),
+        (KeyError, 4),
+    ],
+)
+def test_errors_exit_with_one_line(capsys, monkeypatch, lbc, error, code):
+    # usage errors exit 2, resource limits 3 and internal errors 4; none of
+    # them may exit 1, which --property reads as "the property fails"
+    def broken(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr("ivote.cli.classify_game", broken)
+    assert run(capsys, "classify", lbc, "--property", "fip") == (
+        code,
+        "",
+        "error: internal error: KeyError: 'boom'\n" if code == 4 else "error: boom\n",
+    )
 
 
 def test_classify_reports_stack_exhaustion_as_a_resource_limit(
