@@ -230,12 +230,15 @@ class _Skeleton:
     outcome in ``sets``, which holds one frozenset per distinct outcome,
     and ``outcomes`` is the per-node tuple of those shared objects.
     ``moves[v][k]`` lists, for voter v playing their k-th action, every
-    other action as ``(action, node offset, named candidate or None)``.
-    Raises LimitError beyond ``node_limit`` (the environment default when
-    None).
+    other action as ``(action, node offset, named candidate or None)``;
+    ``strides[v]`` is how far one step in voter v's action list moves the
+    node index. Raises LimitError beyond ``node_limit`` (the environment
+    default when None).
     """
 
-    __slots__ = ("profiles", "outcomes", "outcome_ids", "sets", "sizes", "moves")
+    __slots__ = (
+        "profiles", "outcomes", "outcome_ids", "sets", "sizes", "strides", "moves"
+    )
 
     def __init__(self, form, node_limit: Optional[int]):
         node_limit = _node_limit(node_limit)
@@ -253,7 +256,6 @@ class _Skeleton:
             interned.setdefault(form.outcome(p), len(interned)) for p in profiles
         )
         sets = tuple(interned)
-        # stride of voter v: how far one step in their action list moves the index
         strides = [1] * n
         for v in range(n - 2, -1, -1):
             strides[v] = strides[v + 1] * sizes[v + 1]
@@ -262,6 +264,7 @@ class _Skeleton:
         self.outcome_ids = ids
         self.sets = sets
         self.sizes = sizes
+        self.strides = tuple(strides)
         self.moves = tuple(
             tuple(
                 tuple(
@@ -630,8 +633,15 @@ def is_restricted_fip(
     is searched independently - a slot either picks an edge inside the
     component or escapes it, and only in-component picks can close a cycle.
     """
+    return _restriction(graph, is_fip(graph).holds, branch_budget)
+
+
+def _restriction(
+    graph: BetterReplyGraph, acyclic: bool, branch_budget: int
+) -> RestrictedFipResult:
+    """``is_restricted_fip`` for a caller that already knows whether the
+    whole graph is ``acyclic``."""
     off, heads = graph.offsets, graph.dst
-    acyclic = is_fip(graph).holds
     # the first edge of every (node, voter) slot, in edge-id order; a slot's
     # edges are one run of ids, so these are also the runs' boundaries
     selection = {}
@@ -926,7 +936,7 @@ def classify_game(
     sink_ids = sinks(graph)
     fip_verdict = is_fip(graph)
     weak = is_weak_fip(graph)
-    restricted = is_restricted_fip(graph, branch_budget)
+    restricted = _restriction(graph, fip_verdict.holds, branch_budget)
     longest = None
     if fip_verdict.holds:
         longest = max(_longest_from(graph, fip_verdict.order), default=0)
@@ -972,13 +982,51 @@ class FormReport:
     form: object
     policy: ReplyPolicy
     scope: str
+    # every profile the sweep passed (times its utility draws), whether or
+    # not it was built; graphs_built counts the reply graphs it built
     games_checked: int
+    graphs_built: int
     has_ne: FormProperty
     fip: FormProperty
     weak_fip: FormProperty
     restricted_fip: FormProperty
 
 
+def _voter_classes(form, skel: _Skeleton) -> list:
+    """Classes of two or more interchangeable voters, each ascending.
+
+    Voters u < v are interchangeable when they have the same actions, each
+    naming the same candidate, and swapping their actions never changes a
+    node's outcome id. Swapping the preferences of two such voters then
+    relabels every reply graph on the form into an isomorphic one. Being
+    interchangeable is transitive, so each voter is tested against the
+    first member of each class only.
+    """
+    ids = skel.outcome_ids
+    positions = list(itertools.product(*map(range, skel.sizes)))
+
+    def ballots(v):
+        return [(a, form.action_candidate(v, a)) for a in form.actions(v)]
+
+    def interchangeable(u, v):
+        if ballots(u) != ballots(v):
+            return False
+        # swapping the actions of u and v moves node i by this many strides
+        step = skel.strides[u] - skel.strides[v]
+        return all(
+            ids[i] == ids[i + (pos[v] - pos[u]) * step]
+            for i, pos in enumerate(positions)
+        )
+
+    classes = []
+    for v in range(form.n):
+        for cls in classes:
+            if interchangeable(cls[0], v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return [tuple(cls) for cls in classes if len(cls) > 1]
 
 
 def classify_game_form(
@@ -996,6 +1044,16 @@ def classify_game_form(
     Comparators that need utilities get ``utility_samples`` random consistent
     utility vectors per preference profile; each sampled game must satisfy
     the property for it to count as holding.
+
+    An exhaustive sweep with a comparator that needs no utilities builds
+    one game per orbit of the profiles under swaps of interchangeable
+    voters (``_voter_classes``), the lex-least: within each class the
+    preference indices do not fall. Such a swap relabels the reply graph,
+    so every verdict is the same across an orbit, the first profile failing
+    a property is the lex-least of its orbit, and the report is the full
+    sweep's; skipped profiles still count in ``games_checked``. Sampled
+    sweeps and sampled utilities (drawn per profile, so not orbit-invariant)
+    build every game.
     """
     if sample is not None and sample < 1:
         raise ConfigurationError(f"sample count must be a positive integer: {sample}")
@@ -1026,8 +1084,15 @@ def classify_game_form(
         "weak_fip": FormProperty(True),
         "restricted_fip": FormProperty(True),
     }
-    games_checked = 0
+    games_checked = graphs_built = 0
     skel = _Skeleton(form, node_limit)
+    # consecutive members of each class; permutations() yields rankings in
+    # lexicographic order, so rankings compare as the preference indices do
+    chains = ()
+    if sample is None and not needs_utilities:
+        chains = [
+            pair for cls in _voter_classes(form, skel) for pair in zip(cls, cls[1:])
+        ]
 
     def note(prop, prefs, utilities, witness):
         if state[prop].holds:
@@ -1039,6 +1104,9 @@ def classify_game_form(
             )
 
     for prefs in pref_iter:
+        if chains and any(prefs[u].ranking > prefs[v].ranking for u, v in chains):
+            games_checked += 1  # the leader of its orbit came earlier
+            continue
         variants = (
             [sample_utilities(prefs, rng) for _ in range(utility_samples)]
             if needs_utilities
@@ -1047,6 +1115,7 @@ def classify_game_form(
         for utilities in variants:
             graph = _reply_graph(skel, Game(form, prefs, utilities), policy)
             games_checked += 1
+            graphs_built += 1
             sink_ids = sinks(graph)
             if not sink_ids:
                 note("has_ne", prefs, utilities, "no equilibrium profile")
@@ -1062,7 +1131,7 @@ def classify_game_form(
                     bad = format_profile(form, graph.profiles[weak.unreachable[0]])
                     note("weak_fip", prefs, utilities, f"no path to a sink from {bad}")
                 if state["restricted_fip"].holds:
-                    restricted = is_restricted_fip(graph, branch_budget)
+                    restricted = _restriction(graph, False, branch_budget)
                     if not restricted.holds:
                         note(
                             "restricted_fip",
@@ -1078,6 +1147,7 @@ def classify_game_form(
         policy=policy,
         scope=scope,
         games_checked=games_checked,
+        graphs_built=graphs_built,
         has_ne=state["has_ne"],
         fip=state["fip"],
         weak_fip=state["weak_fip"],

@@ -8,10 +8,14 @@ byte-identical output for a fixed command line and input.
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
+from ivote import analysis
+from ivote.analysis import classify_game_form, render_form_report
 from ivote.cli import main
+from ivote.comparators import ComparatorMode
 from ivote.constructions import (
     GameParams,
     catalog,
@@ -30,6 +34,7 @@ from ivote.core import (
     TieBreak,
     UnsupportedOperationError,
 )
+from ivote.dynamics import ReplyKind, ReplyPolicy
 from ivote.gamefile import GameFileError, dump, dumps, load
 
 
@@ -240,6 +245,22 @@ def test_classify_bare_form_exhaustive(capsys, tiny_form):
     assert code == 0
     assert err == ""
     assert out == FORM_REPORT
+
+
+def test_classify_form_prints_the_full_sweep(capsys, tmp_path):
+    # the sweep builds one game per orbit of the three interchangeable
+    # voters; it must print what a sweep that builds every game prints
+    form = PluralityForm(("a", "b", "c"), (1, 1, 1))
+    path = tmp_path / "three.form"
+    dump(form, str(path))
+    policy = ReplyPolicy(ReplyKind.BETTER, ComparatorMode.LEX_SINGLETON)
+    with mock.patch.object(analysis, "_voter_classes", lambda form, skel: []):
+        full = classify_game_form(form, policy)
+    reduced = classify_game_form(form, policy)
+    assert reduced.graphs_built < reduced.games_checked == full.graphs_built
+    assert not full.fip.holds
+    code, out, err = run(capsys, "classify", str(path), "--property", "fip")
+    assert (code, out, err) == (1, render_form_report(full) + "\n", "")
 
 
 def test_classify_form_rejects_start(capsys, tiny_form):
