@@ -30,7 +30,7 @@ import random
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from math import prod
+from math import lcm, prod
 from operator import eq, getitem, index, itemgetter
 from typing import Optional
 
@@ -56,6 +56,14 @@ from .dynamics import (
 
 DEFAULT_NODE_LIMIT = 1_000_000
 _NODE_LIMIT_ENV = "IVOTE_NODE_LIMIT"
+_flatten = itertools.chain.from_iterable
+# A form sweep stops caching voter edge blocks (see _voter_blocks) once it
+# holds this many per-node rows, at about 43 bytes a row. Every (voter,
+# ranking) block fits for the forms an exhaustive sweep can finish, such
+# as m=4, n=4 (96 blocks of 256 rows); past that, sweeps with many nodes
+# or many distinct utility orders build the rest of their graphs as the
+# reply filter does, instead of growing without bound.
+_BLOCK_CACHE_ROWS = 1 << 18
 
 
 def default_node_limit() -> int:
@@ -351,6 +359,47 @@ def _reply_graph(skel: _Skeleton, game: Game, policy: ReplyPolicy) -> BetterRepl
     )
 
 
+def _voter_blocks(graph: BetterReplyGraph) -> list:
+    """Each voter's edges of ``graph`` as a block ``(rows, starts)``.
+
+    ``rows[i]`` holds the voter's edges at node i, in edge-id order, as the
+    bytes of an ``array('i')`` of ``(src, voter, action, dst)`` quads, and
+    ``starts[i]`` counts the voter's edges at the nodes before i.
+    """
+    quads = array(
+        "i", _flatten(zip(graph.src, graph.voter, graph.action, graph.dst))
+    ).tobytes()
+    width = 4 * array("i").itemsize
+    rows = [[b""] * graph.num_nodes for _ in range(graph.game.n)]
+    lo = 0
+    # the edges of a (node, voter) slot are one run of ids
+    for (i, v), run in itertools.groupby(zip(graph.src, graph.voter)):
+        hi = lo + width * sum(1 for _ in run)
+        rows[v][i] = quads[lo:hi]
+        lo = hi
+    blocks = []
+    for row in rows:
+        counts = (len(edges) // width for edges in row)
+        blocks.append((tuple(row), tuple(itertools.accumulate(counts, initial=0))))
+    return blocks
+
+
+def _assemble(
+    skel: _Skeleton, game: Game, policy: ReplyPolicy, blocks
+) -> BetterReplyGraph:
+    """The reply graph of ``game`` from one block per voter (see
+    ``_voter_blocks``), numbered as ``_reply_graph`` numbers it: node-major,
+    voters ascending inside a node."""
+    rows, starts = zip(*blocks)
+    quads = array("i")
+    quads.frombytes(b"".join(_flatten(zip(*rows))))
+    return BetterReplyGraph(
+        game, policy, skel.profiles, skel.outcomes,
+        array("i", map(sum, zip(*starts))),
+        quads[0::4], quads[1::4], quads[2::4], quads[3::4],
+    )
+
+
 def sinks(graph: BetterReplyGraph) -> tuple:
     """Node ids with no outgoing edge, ascending."""
     off = graph.offsets
@@ -386,48 +435,48 @@ class FipResult:
     order: Optional[array] = field(default=None, repr=False, compare=False)
 
 
-def _peel(num_nodes: int, out_edges, heads, alive=None) -> list:
+def _peel(num_nodes: int, offsets, heads, alive=None) -> list:
     """Kahn's source peel of ``alive`` (all nodes when None): the nodes in
     the order they reach indegree 0. It covers every node iff the subgraph
-    is acyclic. ``out_edges[i]`` lists node i's edge ids and ``heads[eid]``
-    is the node edge ``eid`` enters."""
+    is acyclic. Node i's edges enter the nodes
+    ``heads[offsets[i]:offsets[i + 1]]``, and ``heads`` lists no others."""
     if alive is None:
         indeg = [0] * num_nodes
-        for eids in out_edges:
-            for eid in eids:
-                indeg[heads[eid]] += 1
+        for dst in heads:
+            indeg[dst] += 1
         order = [i for i in range(num_nodes) if indeg[i] == 0]
-    else:
-        indeg = dict.fromkeys(alive, 0)
-        for i in alive:
-            for eid in out_edges[i]:
-                dst = heads[eid]
-                if dst in indeg:
-                    indeg[dst] += 1
-        order = [i for i in alive if indeg[i] == 0]
-    # the loop visits the nodes it appends, so ``order`` is also the queue
+        # the loop visits the nodes it appends, so ``order`` is also the queue
+        for i in order:
+            for dst in heads[offsets[i] : offsets[i + 1]]:
+                indeg[dst] -= 1
+                if indeg[dst] == 0:
+                    order.append(dst)
+        return order
+    indeg = dict.fromkeys(alive, 0)
+    for i in alive:
+        for dst in heads[offsets[i] : offsets[i + 1]]:
+            if dst in indeg:
+                indeg[dst] += 1
+    order = [i for i in alive if indeg[i] == 0]
     for i in order:
-        for eid in out_edges[i]:
-            dst = heads[eid]
-            if alive is not None and dst not in indeg:
-                continue
-            indeg[dst] -= 1
-            if indeg[dst] == 0:
-                order.append(dst)
+        for dst in heads[offsets[i] : offsets[i + 1]]:
+            if dst in indeg:
+                indeg[dst] -= 1
+                if indeg[dst] == 0:
+                    order.append(dst)
     return order
 
 
-def _cyclic_core(out_edges, heads, core_nodes) -> frozenset:
+def _cyclic_core(offsets, heads, core_nodes) -> frozenset:
     """Drop nodes downstream of every cycle (the source peel keeps anything
     reachable from a cycle, sinks included) so that each surviving node has
-    a successor inside the set."""
+    a successor inside the set. Adjacency as for ``_peel``."""
     core = set(core_nodes)
     outdeg = {}
     preds = {}
     for i in core:
         outdeg[i] = 0
-        for eid in out_edges[i]:
-            dst = heads[eid]
+        for dst in heads[offsets[i] : offsets[i + 1]]:
             if dst in core:
                 outdeg[i] += 1
                 preds.setdefault(dst, []).append(i)
@@ -443,23 +492,28 @@ def _cyclic_core(out_edges, heads, core_nodes) -> frozenset:
     return frozenset(core - removed)
 
 
-def _extract_cycle(graph: BetterReplyGraph, out_edges, nodes, order) -> tuple:
-    """Walk inside the cyclic core of the subgraph ``out_edges`` on what the
-    peel ``order`` left of ``nodes`` until a node repeats; return that loop
-    as ``Edge`` objects."""
-    heads = graph.dst
+def _extract_cycle(
+    graph: BetterReplyGraph, offsets, heads, eids, nodes, order
+) -> tuple:
+    """Walk inside the cyclic core of a subgraph of ``graph``, on what the
+    peel ``order`` left of ``nodes``, until a node repeats; return that loop
+    as ``Edge`` objects. Adjacency as for ``_peel``; ``eids[k]`` is the
+    graph's id of the edge that enters ``heads[k]``."""
     left = set(nodes)
     left.difference_update(order)  # in place: one hash table, not two
-    core_nodes = _cyclic_core(out_edges, heads, left)
+    core_nodes = _cyclic_core(offsets, heads, left)
     start = min(core_nodes)
     path = [start]
     path_edges = []
     seen = {start: 0}
     node = start
     while True:
-        eid = next(e for e in out_edges[node] if heads[e] in core_nodes)
-        node = heads[eid]
-        path_edges.append(eid)
+        k = next(
+            k for k in range(offsets[node], offsets[node + 1])
+            if heads[k] in core_nodes
+        )
+        node = heads[k]
+        path_edges.append(eids[k])
         if node in seen:
             k = seen[node]
             return tuple(graph.edges[e] for e in path_edges[k:])
@@ -469,15 +523,16 @@ def _extract_cycle(graph: BetterReplyGraph, out_edges, nodes, order) -> tuple:
 
 def is_fip(graph: BetterReplyGraph, alive=None) -> FipResult:
     """Whether every improvement path (within ``alive``, if given) is finite."""
-    # node -> its edge ids: ranges for every node are quick to index, the
-    # view builds only what ``alive`` reaches, maybe a few nodes of many
-    off = graph.offsets
-    out = list(map(range, off, off[1:])) if alive is None else graph.out_edges
-    order = _peel(graph.num_nodes, out, graph.dst, alive)
+    order = _peel(graph.num_nodes, graph.offsets, graph.dst, alive)
     nodes = range(graph.num_nodes) if alive is None else alive
     if len(order) == len(nodes):
         return FipResult(True, order=array("i", order))
-    return FipResult(False, _extract_cycle(graph, out, nodes, order))
+    return FipResult(
+        False,
+        _extract_cycle(
+            graph, graph.offsets, graph.dst, range(graph.num_edges), nodes, order
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -651,13 +706,19 @@ def _restriction(
         return RestrictedFipResult(True, selection)
     # forced moves are in every restriction; a cycle among them is final
     bounds = [*selection.values(), graph.num_edges]
-    forced_out = [[] for _ in range(graph.num_nodes)]
-    for (node, _), lo, hi in zip(selection, bounds, bounds[1:]):
-        if hi - lo == 1:
-            forced_out[node].append(lo)
-    order = _peel(graph.num_nodes, forced_out, heads)
+    forced = array("i", (lo for lo, hi in zip(bounds, bounds[1:]) if hi - lo == 1))
+    del bounds  # one entry per slot: not kept alive through the peel
+    # the forced moves as a subgraph: node i's are forced[starts[i]:starts[i + 1]]
+    count = [0] * (graph.num_nodes + 1)
+    for eid in forced:
+        count[graph.src[eid] + 1] += 1
+    starts = array("i", itertools.accumulate(count))
+    forced_heads = array("i", map(heads.__getitem__, forced))
+    order = _peel(graph.num_nodes, starts, forced_heads)
     if len(order) < graph.num_nodes:
-        cycle = _extract_cycle(graph, forced_out, range(graph.num_nodes), order)
+        cycle = _extract_cycle(
+            graph, starts, forced_heads, forced, range(graph.num_nodes), order
+        )
         return RestrictedFipResult(False, forced_cycle=cycle, branches=0)
 
     comps = [
@@ -986,10 +1047,24 @@ class FormReport:
     # not it was built; graphs_built counts the reply graphs it built
     games_checked: int
     graphs_built: int
+    # how many graphs ran the reply filter (_reply_graph); the others were
+    # assembled from per-voter edge blocks the sweep had already cut
+    reply_passes: int
     has_ne: FormProperty
     fip: FormProperty
     weak_fip: FormProperty
     restricted_fip: FormProperty
+
+
+def _eu_rank_key(sets, values) -> tuple:
+    """Dense ranks of the mean utilities of ``sets`` under ``values``, so
+    that the key orders any two sets as ``eu_compare`` does and two voters
+    with equal keys prefer the same sets. Means are scaled by lcm(1..m) to
+    stay exact integers (for integer utilities)."""
+    scale = lcm(*range(1, len(values) + 1))
+    means = [sum(values[c] for c in s) * (scale // len(s)) for s in sets]
+    rank = {x: r for r, x in enumerate(sorted(set(means)))}
+    return tuple(map(rank.__getitem__, means))
 
 
 def _voter_classes(form, skel: _Skeleton) -> list:
@@ -1054,6 +1129,13 @@ def classify_game_form(
     sweep's; skipped profiles still count in ``games_checked``. Sampled
     sweeps and sampled utilities (drawn per profile, so not orbit-invariant)
     build every game.
+
+    A voter's reply edges depend only on the form, the policy and the
+    voter's preference over outcome sets (its ranking, or under expected
+    utility ``_eu_rank_key``). The sweep cuts each voter's edges out of
+    the first graph that needs them and assembles every game whose voters
+    all have such a block; ``reply_passes`` counts the graphs the reply
+    filter built.
     """
     if sample is not None and sample < 1:
         raise ConfigurationError(f"sample count must be a positive integer: {sample}")
@@ -1084,8 +1166,17 @@ def classify_game_form(
         "weak_fip": FormProperty(True),
         "restricted_fip": FormProperty(True),
     }
-    games_checked = graphs_built = 0
+    games_checked = graphs_built = reply_passes = 0
     skel = _Skeleton(form, node_limit)
+    # (voter, key of the voter's preference over outcome sets) -> the
+    # voter's edges; they depend on nothing else, see _voter_blocks
+    blocks = {}
+
+    def relation_keys(prefs, utilities):
+        if needs_utilities:
+            return [_eu_rank_key(skel.sets, u.values) for u in utilities]
+        return [p.ranking for p in prefs]
+
     # consecutive members of each class; permutations() yields rankings in
     # lexicographic order, so rankings compare as the preference indices do
     chains = ()
@@ -1113,7 +1204,17 @@ def classify_game_form(
             else [None]
         )
         for utilities in variants:
-            graph = _reply_graph(skel, Game(form, prefs, utilities), policy)
+            game = Game(form, prefs, utilities)
+            keys = list(enumerate(relation_keys(prefs, utilities)))
+            cached = list(map(blocks.get, keys))
+            if None in cached:
+                graph = _reply_graph(skel, game, policy)
+                reply_passes += 1
+                if len(blocks) * len(skel.profiles) < _BLOCK_CACHE_ROWS:
+                    for key, block in zip(keys, _voter_blocks(graph)):
+                        blocks.setdefault(key, block)
+            else:
+                graph = _assemble(skel, game, policy, cached)
             games_checked += 1
             graphs_built += 1
             sink_ids = sinks(graph)
@@ -1148,6 +1249,7 @@ def classify_game_form(
         scope=scope,
         games_checked=games_checked,
         graphs_built=graphs_built,
+        reply_passes=reply_passes,
         has_ne=state["has_ne"],
         fip=state["fip"],
         weak_fip=state["weak_fip"],

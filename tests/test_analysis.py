@@ -5,7 +5,8 @@ import gc
 import itertools
 import random
 from array import array
-from math import prod
+from fractions import Fraction
+from math import factorial, prod
 from unittest import mock
 
 import pytest
@@ -28,6 +29,7 @@ from ivote import (
     TabularForm,
     TieBreak,
     UnsupportedOperationError,
+    UtilityVector,
     build_graph,
     catalog_entry,
     classify_game,
@@ -63,6 +65,7 @@ from ivote.analysis import (
     _scc_partition,
     longest_path_from,
 )
+from ivote.comparators import SetComparison, eu_compare
 from ivote.dynamics import run_path, SchedulerSpec, RoundRobin
 
 BETTER_LEX = ReplyPolicy(ReplyKind.BETTER, ComparatorMode.LEX_SINGLETON)
@@ -766,9 +769,9 @@ def test_classify_game_peels_an_acyclic_graph_once(monkeypatch):
     whole = []
     peel = analysis._peel
 
-    def counting_peel(num_nodes, out_edges, heads, alive=None):
+    def counting_peel(num_nodes, offsets, heads, alive=None):
         whole.append(alive is None)
-        return peel(num_nodes, out_edges, heads, alive)
+        return peel(num_nodes, offsets, heads, alive)
 
     monkeypatch.setattr(analysis, "_peel", counting_peel)
     report = classify_game(random_game(GameParams(3, 3), 0), DIRECT_LEX)
@@ -835,7 +838,7 @@ def full_sweep(form, policy, **kw):
 def assert_same_report(reduced, full):
     assert render_form_report(reduced) == render_form_report(full)
     for f in dataclasses.fields(FormReport):
-        if f.name != "graphs_built":
+        if f.name not in ("graphs_built", "reply_passes"):
             assert getattr(reduced, f.name) == getattr(full, f.name), f.name
     assert full.graphs_built == full.games_checked
 
@@ -878,7 +881,110 @@ DIRECT_EU = ReplyPolicy(ReplyKind.DIRECT, ComparatorMode.EXPECTED_UTILITY)
 def test_form_sweep_builds_one_graph_per_orbit(form, policy, kw, games, built):
     report = classify_game_form(form, policy, **kw)
     assert (report.games_checked, report.graphs_built) == (games, built)
-    assert "graphs" not in render_form_report(report)
+    # the reply filter runs once per new (voter, preference) block at most:
+    # 3 * 4! = 72 times for the m=4, n=3 sweep, and under EU, whose blocks
+    # repeat less, still on fewer graphs than the sweep builds
+    passes = built
+    if "sample" not in kw:
+        passes = form.n * factorial(form.m) if policy is DIRECT_LEX else built - 1
+    assert 1 <= report.reply_passes <= passes
+    text = render_form_report(report)
+    assert "graphs" not in text and "passes" not in text
+
+
+def graph_columns(graph):
+    return (graph.offsets, graph.src, graph.voter, graph.action, graph.dst)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(small_forms(), symmetric_forms()), st.integers(0, 10**6))
+def test_sweeps_assemble_the_graphs_the_reply_filter_builds(form, seed):
+    # every graph a sweep assembles from cached voter blocks, under every
+    # reply kind and comparator, exhaustive or sampled, is the graph the
+    # reply filter builds for that game
+    assemble = analysis._assemble
+    assembled = []
+
+    def checked_assemble(skel, game, policy, blocks):
+        graph = assemble(skel, game, policy, blocks)
+        assert graph_columns(graph) == graph_columns(_reply_graph(skel, game, policy))
+        assembled.append(graph)
+        return graph
+
+    with mock.patch.object(analysis, "_assemble", checked_assemble):
+        for mode in valid_modes(form):
+            for kind in ReplyKind:
+                for kw in ({}, {"sample": 12, "seed": seed}):
+                    report = classify_game_form(
+                        form, ReplyPolicy(kind, mode), utility_samples=2, **kw
+                    )
+                    assert report.reply_passes <= report.graphs_built
+                    assert report.reply_passes + len(assembled) == report.graphs_built
+                    assembled.clear()
+
+
+def test_full_block_cache_leaves_the_report_unchanged(monkeypatch):
+    # once the sweep's block cache is full, misses run the reply filter
+    # and cache nothing: more passes, the same report
+    form = PluralityForm(default_names(4), (1, 1, 1))
+    full = classify_game_form(form, DIRECT_LEX)
+    monkeypatch.setattr(analysis, "_BLOCK_CACHE_ROWS", 40 * 64)
+    capped = classify_game_form(form, DIRECT_LEX)
+    assert render_form_report(capped) == render_form_report(full)
+    assert full.reply_passes < capped.reply_passes < capped.graphs_built
+    assert capped.graphs_built == full.graphs_built
+
+
+def test_form_sweep_still_checks_the_comparator_against_the_form():
+    # the first game of every sweep runs the reply filter, whose comparator
+    # rejects a lex comparison on a form with randomized ties
+    form = PluralityForm(default_names(3), (1, 1), tiebreak=TieBreak.RANDOMIZED)
+    for kw in ({}, {"sample": 5}):
+        with pytest.raises(ConfigurationError):
+            classify_game_form(form, DIRECT_LEX, **kw)
+
+
+def assert_key_orders_as_eu_compare(sets, utility):
+    key = analysis._eu_rank_key(sets, utility.values)
+    assert sorted(set(key)) == list(range(len(set(key))))  # dense ranks
+    verdicts = {
+        1: SetComparison.STRICTLY_BETTER,
+        0: SetComparison.EQUAL,
+        -1: SetComparison.STRICTLY_WORSE,
+    }
+    for (x, kx), (y, ky) in itertools.product(zip(sets, key), repeat=2):
+        assert eu_compare(utility, x, y) is verdicts[(kx > ky) - (kx < ky)], (x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_forms(), symmetric_forms()), st.integers(0, 10**6))
+def test_eu_rank_key_orders_outcome_sets_as_eu_compare(form, seed):
+    rng = random.Random(seed)
+    prefs = tuple(
+        PreferenceOrder(rng.sample(range(form.m), form.m)) for _ in range(form.n)
+    )
+    sets = _Skeleton(form, None).sets
+    for utility in random_consistent_utilities(prefs, rng):
+        assert_key_orders_as_eu_compare(sets, utility)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (1, 2, 3),  # {a,c} ties {b} and {a,b,c}
+        (9, 4, 1),
+        (0, 5, 10),
+        (1, 2, 3, 4),  # {a,d} ties {b,c}, {a,b,c,d} and {a,c,d} vs {b,d}...
+        (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)),
+        (7, 1, 4, 10),
+    ],
+)
+def test_eu_rank_key_keeps_tied_means_equal(values):
+    m = len(values)
+    sets = [
+        frozenset(c for c in range(m) if mask >> c & 1) for mask in range(1, 1 << m)
+    ]
+    assert_key_orders_as_eu_compare(sets, UtilityVector(values))
 
 
 def test_interchangeable_voters_are_read_from_the_outcomes():
