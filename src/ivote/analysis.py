@@ -16,10 +16,12 @@ per action profile, one edge per allowed single-voter move. On top of it:
   whose status is open.
 
 Results carry certificates: a concrete edge cycle when acyclicity fails, a
-selection map when a restriction exists, an exhaustion record when none
-does. Everything here is pure: inputs are immutable, nothing is cached in
-module state, and iteration orders are fixed, so identical inputs give
-identical reports (and calls are safe to run concurrently).
+selection map when a restriction exists, and a trap when none does: states
+where some voter's every move stays inside. Weak and restricted FIP are one
+attractor computation (``_attractor``), linear in the graph. Everything
+here is pure: inputs are immutable, nothing is cached in module state, and
+iteration orders are fixed, so identical inputs give identical reports
+(and calls are safe to run concurrently).
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import os
 import random
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import lcm, prod
-from operator import eq, getitem, index, itemgetter
+from operator import eq, getitem, index, itemgetter, sub
 from typing import Optional
 
 from .core import (
@@ -549,47 +551,65 @@ class WeakFipResult:
     unreachable: tuple = ()
 
 
+def _attractor(num_nodes: int, heads, slot, slot_node, pending, seeds) -> tuple:
+    """The attractor S of ``seeds`` in a reachability game on slots.
+
+    Edge k leads into ``heads[k]`` and belongs to slot ``slot[k]``, a slot
+    of node ``slot_node[slot[k]]``. A slot is settled by its first edge
+    into S, and a node joins S once ``pending[node]`` of its slots are
+    settled (``pending`` is counted down in place). Returns ``(order,
+    settled_by)``: S in the order it grew, a FIFO queue seeded with
+    ``seeds``, and per slot the edge that settled it (-1 if none). Every
+    settling edge leads to a node that joined S before its own node.
+    """
+    # a counting sort of the edges on their heads, stable, so the edges
+    # entering node i are by_head[first[i]:first[i + 1]], ascending
+    count = [0] * (num_nodes + 1)
+    for d in heads:
+        count[d + 1] += 1
+    first = array("i", itertools.accumulate(count))
+    fill = first[:num_nodes]
+    by_head = array("i", [0]) * len(heads)
+    for k, d in enumerate(heads):
+        by_head[fill[d]] = k
+        fill[d] += 1
+    settled_by = array("i", [-1]) * len(slot_node)
+    order = list(seeds)
+    # the loop visits the nodes it appends, so ``order`` is also the queue
+    for i in order:
+        for k in by_head[first[i] : first[i + 1]]:
+            s = slot[k]
+            if settled_by[s] == -1:
+                settled_by[s] = k
+                node = slot_node[s]
+                pending[node] -= 1
+                if pending[node] == 0:
+                    order.append(node)
+    return order, settled_by
+
+
 def is_weak_fip(graph: BetterReplyGraph, alive=None) -> WeakFipResult:
+    """Whether a sink is reachable from every node (of ``alive``, if
+    given): the attractor of the sinks when each node is one slot holding
+    all its edges, so the edge that settled it routes toward a sink."""
     n = graph.num_nodes
-    off, src, dst = graph.offsets, graph.src, graph.dst
     if alive is None:
-        nodes, kept = range(n), range(graph.num_edges)
+        nodes = range(n)
+        heads, tails = graph.dst, graph.src
         sink_nodes = sinks(graph)
     else:
         nodes = frozenset(alive)
+        off, dst = graph.offsets, graph.dst
         kept = [e for i in nodes for e in range(off[i], off[i + 1]) if dst[e] in nodes]
-        movers = {src[e] for e in kept}
-        sink_nodes = [i for i in nodes if i not in movers]
-    # a counting sort of the kept edge ids on dst, stable, so the ids
-    # entering node i are by_head[first[i]:first[i + 1]] in kept order
-    count = [0] * (n + 1)
-    for e in kept:
-        count[dst[e] + 1] += 1
-    first = array("i", itertools.accumulate(count))
-    fill = first[:n]
-    by_head = array("i", [0]) * len(kept)
-    for e in kept:
-        d = dst[e]
-        by_head[fill[d]] = e
-        fill[d] += 1
-    # breadth-first back from the sinks; -1 marks a node not reached yet
-    route = [-1] * n
-    for i in sink_nodes:
-        route[i] = None
-    frontier = sink_nodes
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for eid in by_head[first[i] : first[i + 1]]:
-                s = src[eid]
-                if route[s] == -1:
-                    route[s] = eid
-                    nxt.append(s)
-        frontier = nxt
-    bad = tuple(sorted(i for i in nodes if route[i] == -1))
-    if bad:
-        return WeakFipResult(False, None, bad)
-    return WeakFipResult(True, tuple(route) if alive is None else None)
+        heads = array("i", map(dst.__getitem__, kept))
+        tails = array("i", map(graph.src.__getitem__, kept))
+        sink_nodes = nodes.difference(tails)
+    order, route = _attractor(n, heads, tails, range(n), [1] * n, sink_nodes)
+    if len(order) < len(nodes):
+        return WeakFipResult(False, None, tuple(sorted(set(nodes).difference(order))))
+    if alive is not None:
+        return WeakFipResult(True)
+    return WeakFipResult(True, tuple(None if e == -1 else e for e in route))
 
 
 # restricted acyclicity ------------------------------------------------------
@@ -599,17 +619,20 @@ def is_weak_fip(graph: BetterReplyGraph, alive=None) -> WeakFipResult:
 class RestrictedFipResult:
     """Existence of a per-(state, voter) action restriction with no cycles.
 
-    ``selection`` maps (node, voter) slots to the chosen edge id when the
-    answer is yes. Otherwise ``forced_cycle`` is a cycle of forced moves
-    (slots with a single allowed action, hence contained in EVERY
-    restriction), or ``exhausted`` reports that the full choice space was
-    searched; ``branches`` counts the assignments tried.
+    ``selection`` maps every (node, voter) slot to its chosen edge id when
+    the answer is yes. Otherwise ``trap`` lists, ascending, the states
+    outside the slot attractor (see ``is_restricted_fip``): at each of
+    them some voter's every allowed move stays inside the trap, so every
+    restriction leaves a cycle reachable from each trap state. When some
+    cycle consists of forced moves (slots with a single allowed action,
+    hence contained in EVERY restriction), ``forced_cycle`` holds one and
+    is the printed certificate. ``branches`` is always 0: no search runs.
     """
 
     holds: bool
     selection: Optional[dict] = None
     forced_cycle: Optional[tuple] = None
-    exhausted: bool = False
+    trap: Optional[tuple] = None
     branches: int = 0
 
     def certificate(self) -> str:
@@ -623,8 +646,8 @@ class RestrictedFipResult:
                 f"(each of its moves is the only allowed action of its slot)"
             )
         return (
-            f"exhausted the restriction space ({self.branches} partial "
-            f"assignments tried), every choice leaves a cycle"
+            f"trap of {len(self.trap)} states: every restriction cycles from each "
+            f"of them (at each, some voter's every allowed move stays in the trap)"
         )
 
 
@@ -678,146 +701,81 @@ def _scc_partition(num_nodes: int, successors) -> list:
     return comps
 
 
-def is_restricted_fip(
-    graph: BetterReplyGraph, branch_budget: int = 500_000
-) -> RestrictedFipResult:
-    """Search for a cycle-free restriction of the reply graph.
+def is_restricted_fip(graph: BetterReplyGraph) -> RestrictedFipResult:
+    """Whether some restriction to one edge per (state, voter) slot leaves
+    the reply graph acyclic.
 
-    Fast paths: an acyclic graph restricts trivially; a cycle of forced
-    moves refutes immediately. Otherwise each strongly connected component
-    is searched independently - a slot either picks an edge inside the
-    component or escapes it, and only in-component picks can close a cycle.
+    Let S be the least node set that holds every node each of whose slots
+    has an edge into S (sinks have no slots, so they start it). The answer
+    is yes iff S is every node: the edges that first settled each slot
+    then form an acyclic selection, since each leads to a node that joined
+    S earlier. Any node outside S has a slot whose every edge stays
+    outside S, so every restriction can move forever in the complement,
+    the trap (Kukushkin's restricted acyclicity as the attractor of a
+    reachability game, computed in linear time).
     """
-    return _restriction(graph, is_fip(graph).holds, branch_budget)
+    return _restriction(graph, is_fip(graph).holds)
 
 
-def _restriction(
-    graph: BetterReplyGraph, acyclic: bool, branch_budget: int
-) -> RestrictedFipResult:
+def _slots(tails, voters) -> dict:
+    """Each (node, voter) slot of a list of edges, given by their ``tails``
+    and ``voters``, mapped to the position of its first edge, in order.
+    A slot's edges must be one run of the list."""
+    first = {}
+    for pos, key in enumerate(zip(tails, voters)):
+        first.setdefault(key, pos)
+    return first
+
+
+def _slot_attractor(num_nodes: int, heads, first: dict, seeds) -> tuple:
+    """``_attractor`` on the slots ``first`` (see ``_slots``) of a list of
+    edges that leads into ``heads``: every edge of a node set closed under
+    successors, whose sinks are ``seeds``. Slot k is the k-th of
+    ``first``."""
+    starts = list(first.values())
+    lengths = map(sub, [*starts[1:], len(heads)], starts)
+    slot = array("i", _flatten(map(itertools.repeat, range(len(starts)), lengths)))
+    slot_node = [i for i, _ in first]
+    pending = [0] * num_nodes
+    for i in slot_node:
+        pending[i] += 1
+    return _attractor(num_nodes, heads, slot, slot_node, pending, seeds)
+
+
+def _restriction(graph: BetterReplyGraph, acyclic: bool) -> RestrictedFipResult:
     """``is_restricted_fip`` for a caller that already knows whether the
     whole graph is ``acyclic``."""
-    off, heads = graph.offsets, graph.dst
     # the first edge of every (node, voter) slot, in edge-id order; a slot's
     # edges are one run of ids, so these are also the runs' boundaries
-    selection = {}
-    for eid, key in enumerate(zip(graph.src, graph.voter)):
-        selection.setdefault(key, eid)
+    first = _slots(graph.src, graph.voter)
     if acyclic:
-        return RestrictedFipResult(True, selection)
-    # forced moves are in every restriction; a cycle among them is final
-    bounds = [*selection.values(), graph.num_edges]
+        return RestrictedFipResult(True, first)
+    n = graph.num_nodes
+    order, settled_by = _slot_attractor(n, graph.dst, first, sinks(graph))
+    if len(order) == n:
+        # each slot's settling edge, in place: a second dict of every slot
+        # would raise the peak
+        for key, eid in zip(first, settled_by):
+            first[key] = eid
+        return RestrictedFipResult(True, first)
+    trap = tuple(sorted(set(range(n)).difference(order)))
+    # forced moves are in every restriction, so a cycle among them is the
+    # plainer certificate; it lies in the trap, as its first node to join S
+    # would have needed its one move to lead into S
+    bounds = [*first.values(), graph.num_edges]
     forced = array("i", (lo for lo, hi in zip(bounds, bounds[1:]) if hi - lo == 1))
     del bounds  # one entry per slot: not kept alive through the peel
     # the forced moves as a subgraph: node i's are forced[starts[i]:starts[i + 1]]
-    count = [0] * (graph.num_nodes + 1)
+    count = [0] * (n + 1)
     for eid in forced:
         count[graph.src[eid] + 1] += 1
     starts = array("i", itertools.accumulate(count))
-    forced_heads = array("i", map(heads.__getitem__, forced))
-    order = _peel(graph.num_nodes, starts, forced_heads)
-    if len(order) < graph.num_nodes:
-        cycle = _extract_cycle(
-            graph, starts, forced_heads, forced, range(graph.num_nodes), order
-        )
-        return RestrictedFipResult(False, forced_cycle=cycle, branches=0)
-
-    comps = [
-        c for c in _scc_partition(graph.num_nodes, graph.successors) if len(c) > 1
-    ]
-    branches = 0
-    for comp in comps:
-        # slots of this component that can move inside it, offering their
-        # first escape (if any) and then the inside edges; only inside
-        # edges can close a cycle, but checking escapes too changes nothing
-        comp_slots = []
-        for node in comp:
-            edge_ids = range(off[node], off[node + 1])
-            for v, eids in itertools.groupby(edge_ids, graph.voter.__getitem__):
-                eids = list(eids)
-                inside = [e for e in eids if heads[e] in comp]
-                if inside:
-                    escape = [e for e in eids if heads[e] not in comp][:1]
-                    comp_slots.append(((node, v), escape + inside))
-        # fewest options first keeps the search tree narrow
-        comp_slots.sort(key=lambda item: (len(item[1]), item[0]))
-
-        def next_slot(chosen, chosen_out):
-            # chosen has one entry per open frame, so its size is the depth
-            depth = len(chosen)
-            return comp_slots[depth] if depth < len(comp_slots) else None
-
-        chosen, branches = _search_restriction(
-            heads, next_slot, branch_budget, branches
-        )
-        if chosen is None:
-            return RestrictedFipResult(False, exhausted=True, branches=branches)
-        selection.update(chosen)
-
-    return RestrictedFipResult(True, selection, branches=branches)
-
-
-def _reaches(heads, chosen_out, src, dst) -> bool:
-    """Is there a path src -> ... -> dst through the chosen edges?"""
-    if src == dst:
-        return True
-    seen = {src}
-    stack = [src]
-    while stack:
-        for eid in chosen_out.get(stack.pop(), ()):
-            nxt = heads[eid]
-            if nxt == dst:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
-def _search_restriction(heads, next_slot, branch_budget: int, branches: int = 0):
-    """Depth-first search for one edge per slot that closes no cycle.
-
-    ``heads`` is the graph's ``dst`` column.
-    ``next_slot(chosen, chosen_out)`` returns the next undecided
-    ``((node, voter), choices)`` given the decisions so far (``chosen``
-    maps slots to edge ids, ``chosen_out`` nodes to their chosen edge ids)
-    or None when nothing is left to decide. ``chosen`` holds exactly one
-    entry per open frame, so ``len(chosen)`` is the depth of the slot asked
-    for; the returned slot must not be in ``chosen``. Choices are tried in
-    order and skipped when they would close a cycle of chosen edges. Returns
-    ``(chosen, branches)``, with ``chosen`` None when every choice fails;
-    raises LimitError once more than ``branch_budget`` choices were tried.
-    """
-    chosen = {}
-    chosen_out = {}
-    picked = next_slot(chosen, chosen_out)
-    if picked is None:
-        return chosen, branches
-    frames = [[*picked, 0]]  # one [slot, choices, next choice index] per slot
-    while frames:
-        frame = frames[-1]
-        slot, choices, i = frame
-        node = slot[0]
-        if slot in chosen:
-            # back from a subtree that failed: undo this slot's choice
-            del chosen[slot]
-            chosen_out[node].pop()
-        if i == len(choices):
-            frames.pop()
-            continue
-        frame[2] = i + 1
-        branches += 1
-        if branches > branch_budget:
-            raise LimitError(f"restriction search exceeded {branch_budget} branches")
-        eid = choices[i]
-        if _reaches(heads, chosen_out, heads[eid], node):
-            continue  # this edge would close a cycle
-        chosen[slot] = eid
-        chosen_out.setdefault(node, []).append(eid)
-        picked = next_slot(chosen, chosen_out)
-        if picked is None:
-            return chosen, branches
-        frames.append([*picked, 0])
-    return None, branches
+    forced_heads = array("i", map(graph.dst.__getitem__, forced))
+    peeled = _peel(n, starts, forced_heads)
+    cycle = None
+    if len(peeled) < n:
+        cycle = _extract_cycle(graph, starts, forced_heads, forced, range(n), peeled)
+    return RestrictedFipResult(False, forced_cycle=cycle, trap=trap)
 
 
 # ---------------------------------------------------------------------------
@@ -879,65 +837,42 @@ class FromStateResult:
     fip: bool
     cycle: Optional[tuple]
     weak_fip: bool
-    restricted_fip: Optional[bool]
+    restricted_fip: bool
     longest: Optional[int]
 
 
-def _restricted_from(graph: BetterReplyGraph, start: int, branch_budget: int) -> bool:
-    """Is there a restriction whose every play from ``start`` terminates?
-
-    Unlike the global question, slots are only constrained once they become
-    reachable under the partial restriction, so choices are made lazily
-    along the exploration frontier.
-    """
-    off, heads = graph.offsets, graph.dst
-    slots_of = [
-        tuple(sorted(set(graph.voter[off[i] : off[i + 1]])))
-        for i in range(graph.num_nodes)
-    ]
-
-    def next_slot(chosen, chosen_out):
-        # a reachable (node, voter) slot without a decision yet
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for voter in slots_of[node]:
-                if (node, voter) not in chosen:
-                    return (node, voter), graph.slot_edges(node, voter)
-            for eid in chosen_out.get(node, ()):
-                dst = heads[eid]
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return None
-
-    return _search_restriction(heads, next_slot, branch_budget)[0] is not None
+def from_state(graph: BetterReplyGraph, start: Profile) -> FromStateResult:
+    """Acyclicity of play starting at ``start`` only. Restricted FIP holds
+    from ``start`` iff it lies in the slot attractor (see
+    ``is_restricted_fip``), computed on the states reachable from it."""
+    return _from_state(graph, start, None)
 
 
-def from_state(
-    graph: BetterReplyGraph,
-    start: Profile,
-    compute_restricted: bool = True,
-    branch_budget: int = 500_000,
-) -> FromStateResult:
-    """Acyclicity of play starting at ``start`` only."""
+def _from_state(graph: BetterReplyGraph, start: Profile, trap) -> FromStateResult:
+    """``from_state`` for a caller that holds the whole graph's restricted
+    ``trap`` (empty when restricted FIP holds), or None to compute it."""
     node = graph.node_of(tuple(start))
     reachable = _forward_closure(graph, node)
     off = graph.offsets
     sub_sinks = [i for i in reachable if off[i] == off[i + 1]]
     fip_verdict = is_fip(graph, reachable)
     weak = is_weak_fip(graph, reachable).holds
+    longest = None
     if fip_verdict.holds:
         restricted = True
         longest = _longest_from(graph, fip_verdict.order)[node]
+    elif trap is not None:
+        restricted = node not in trap
     else:
-        longest = None
-        restricted = (
-            _restricted_from(graph, node, branch_budget)
-            if compute_restricted
-            else None
+        # the closure is closed under successors, so its attractor is the
+        # whole graph's attractor restricted to it
+        kept = [e for i in reachable for e in range(off[i], off[i + 1])]
+        first = _slots(
+            map(graph.src.__getitem__, kept), map(graph.voter.__getitem__, kept)
         )
+        heads = array("i", map(graph.dst.__getitem__, kept))
+        order, _ = _slot_attractor(graph.num_nodes, heads, first, sub_sinks)
+        restricted = node in order
     return FromStateResult(
         start=tuple(start),
         reachable=len(reachable),
@@ -991,24 +926,19 @@ def classify_game(
     policy: ReplyPolicy,
     starts: Sequence[Profile] = (),
     node_limit: Optional[int] = None,
-    branch_budget: int = 500_000,
 ) -> GameReport:
     graph = build_graph(game, policy, node_limit)
     sink_ids = sinks(graph)
     fip_verdict = is_fip(graph)
     weak = is_weak_fip(graph)
-    restricted = _restriction(graph, fip_verdict.holds, branch_budget)
+    restricted = _restriction(graph, fip_verdict.holds)
     longest = None
     if fip_verdict.holds:
         longest = max(_longest_from(graph, fip_verdict.order), default=0)
-    # a restriction acyclic everywhere is acyclic from every start, so the
-    # per-start search runs only when there is none
-    reports = tuple(
-        from_state(graph, tuple(s), not restricted.holds, branch_budget)
-        for s in starts
-    )
-    if restricted.holds:
-        reports = tuple(replace(r, restricted_fip=True) for r in reports)
+    # one attractor answers every start: restricted FIP holds from a start
+    # iff it is outside the trap
+    trap = frozenset(restricted.trap or ())
+    reports = tuple(_from_state(graph, s, trap) for s in starts)
     return GameReport(
         game=game,
         policy=policy,
@@ -1111,7 +1041,6 @@ def classify_game_form(
     utility_samples: int = 5,
     seed: int = 0,
     node_limit: Optional[int] = None,
-    branch_budget: int = 500_000,
 ) -> FormReport:
     """Quantify has-NE / FIP / weak-FIP / restricted-FIP over all preference
     profiles of a form (or ``sample`` random ones).
@@ -1232,7 +1161,7 @@ def classify_game_form(
                     bad = format_profile(form, graph.profiles[weak.unreachable[0]])
                     note("weak_fip", prefs, utilities, f"no path to a sink from {bad}")
                 if state["restricted_fip"].holds:
-                    restricted = _restriction(graph, False, branch_budget)
+                    restricted = _restriction(graph, False)
                     if not restricted.holds:
                         note(
                             "restricted_fip",
@@ -1442,8 +1371,7 @@ def render_game_report(report: GameReport, max_listed: int = 24) -> str:
         lines.append(f"  has_ne: {_yesno(fs.has_ne)}")
         lines.append(f"  fip: {_yesno(fs.fip)}")
         lines.append(f"  weak_fip: {_yesno(fs.weak_fip)}")
-        if fs.restricted_fip is not None:
-            lines.append(f"  restricted_fip: {_yesno(fs.restricted_fip)}")
+        lines.append(f"  restricted_fip: {_yesno(fs.restricted_fip)}")
         if fs.longest is not None:
             lines.append(f"  longest_path: {fs.longest}")
     lines.append(f"hierarchy_ok: {_yesno(report.hierarchy_ok)}")

@@ -842,9 +842,7 @@ def _check_fact(entry: CatalogEntry, fact: CatalogFact) -> Optional[str]:
     elif fact.prop == "has_ne":
         actual = bool(sinks(graph))
     elif fact.prop == "fip_from_start":
-        actual = from_state(
-            graph, profile_from_names(form, entry.start), compute_restricted=False
-        ).fip
+        actual = from_state(graph, profile_from_names(form, entry.start)).fip
     elif fact.prop == "truthful_is_ne":
         truth = game.truthful_profile()
         actual = truth in {graph.profiles[i] for i in sinks(graph)}

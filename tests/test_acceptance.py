@@ -249,7 +249,7 @@ def _acc03(problems):
                 f"(longest from any state {longest})"
             )
         better = build_graph(game, BETTER_LEX)
-        if not from_state(better, game.truthful_profile(), compute_restricted=False).fip:
+        if not from_state(better, game.truthful_profile()).fip:
             problems.append(f"{tag}: better replies cycle from truth")
 
 
@@ -258,7 +258,8 @@ def test_acc03_two_voter_weighted_bounds():
 
 
 # 4. the weighted reference game admits no terminating restriction: the
-#    search exhausts every choice and certifies the failure
+#    verdict certifies the failure with a trap, states where some voter's
+#    every move stays inside, so every restriction can cycle there
 
 
 def _acc04(problems):
@@ -268,15 +269,30 @@ def _acc04(problems):
         problems.append(f"expected 64 states, built {graph.num_nodes}")
     verdict = is_restricted_fip(graph)
     if verdict.holds:
-        problems.append("restriction search unexpectedly found a selection")
-    if not verdict.exhausted:
-        problems.append("verdict is not an exhaustion certificate")
-    if "exhausted the restriction space" not in verdict.certificate():
+        problems.append("restriction unexpectedly found a selection")
+        return
+    trap = set(verdict.trap or ())
+    if not trap:
+        problems.append("verdict carries no trap")
+    for node in sorted(trap):
+        edges = range(graph.offsets[node], graph.offsets[node + 1])
+        if not edges:
+            problems.append(f"trap state {node} is a sink")
+        stuck = {graph.voter[e] for e in edges} - {
+            graph.voter[e] for e in edges if graph.dst[e] not in trap
+        }
+        if not stuck:
+            problems.append(f"every voter can leave the trap at state {node}")
+    expected = (
+        f"trap of {len(trap)} states: every restriction cycles from each of "
+        f"them (at each, some voter's every allowed move stays in the trap)"
+    )
+    if verdict.certificate() != expected:
         problems.append(f"unexpected certificate: {verdict.certificate()}")
 
 
 def test_acc04_weighted_restriction_exhaustion():
-    _run("ACC-04 weighted restriction exhaustion", _acc04)
+    _run("ACC-04 weighted restriction trap", _acc04)
 
 
 # 5. randomized tie-breaking with cardinal utilities: from truth, best

@@ -138,6 +138,28 @@ def selection_subgraph(graph, selection):
     return sub
 
 
+def assert_valid_selection(graph, selection):
+    """``selection`` picks one of its own edges for every (node, voter) slot
+    of ``graph``, and the picked edges form an acyclic graph."""
+    assert set(selection) == {(e.src, e.voter) for e in graph.edges}
+    assert is_fip(selection_subgraph(graph, selection)).holds
+
+
+def assert_valid_trap(graph, trap):
+    """``trap`` lists states ascending, none of them a sink, and at each of
+    them some voter has moves that all stay inside ``trap``: from there,
+    every restriction can move forever without leaving it."""
+    assert trap and list(trap) == sorted(set(trap))
+    inside = set(trap)
+    for node in trap:
+        voters = set(graph.voter[graph.offsets[node] : graph.offsets[node + 1]])
+        assert voters, f"trap state {node} is a sink"
+        assert any(
+            all(graph.dst[e] in inside for e in graph.slot_edges(node, v))
+            for v in voters
+        ), f"every voter can leave the trap at state {node}"
+
+
 # ---------------------------------------------------------------------------
 # graph construction
 
@@ -524,9 +546,7 @@ def test_restricted_fip_trivial_on_dag():
     graph = build_graph(fork_game(), BETTER_LEX)
     verdict = is_restricted_fip(graph)
     assert verdict.holds
-    slots = {(e.src, e.voter) for e in graph.edges}
-    assert set(verdict.selection) == slots
-    assert is_fip(selection_subgraph(graph, verdict.selection)).holds
+    assert_valid_selection(graph, verdict.selection)
 
 
 def test_restricted_fip_finds_selection_through_search():
@@ -534,7 +554,7 @@ def test_restricted_fip_finds_selection_through_search():
     assert not is_fip(graph).holds
     verdict = is_restricted_fip(graph)
     assert verdict.holds
-    assert is_fip(selection_subgraph(graph, verdict.selection)).holds
+    assert_valid_selection(graph, verdict.selection)
     assert "acyclic move graph" in verdict.certificate()
 
 
@@ -547,24 +567,72 @@ def test_restricted_fip_searches_every_cyclic_component():
     assert sum(len(c) > 1 for c in sccs) == 6
     verdict = is_restricted_fip(graph)
     assert verdict.holds
-    assert verdict.branches == 24
-    slots = {(e.src, e.voter) for e in graph.edges}
-    assert len(slots) == 156
-    assert set(verdict.selection) == slots
-    assert is_fip(selection_subgraph(graph, verdict.selection)).holds
+    assert len(verdict.selection) == 156
+    assert_valid_selection(graph, verdict.selection)
+    assert verdict.certificate() == (
+        "restriction over 156 slots with an acyclic move graph"
+    )
 
 
 def test_restricted_fip_decides_the_4096_state_game():
     # the largest cyclic component has 2,247 nodes, far deeper than the
-    # interpreter's recursion limit; the search keeps its own stack
+    # interpreter's recursion limit; the attractor does not recurse
     graph = build_graph(random_game(GameParams(4, 6), 7), BETTER_LEX)
     sccs = _scc_partition(graph.num_nodes, graph.successors)
     assert max(map(len, sccs)) == 2247
     verdict = is_restricted_fip(graph)
     assert verdict.holds
-    assert verdict.branches == 5322
     assert len(verdict.selection) == 8070
-    assert is_fip(selection_subgraph(graph, verdict.selection)).holds
+    assert_valid_selection(graph, verdict.selection)
+
+
+def test_from_state_decides_a_start_in_the_4096_state_game():
+    # no global verdict to lean on: the attractor of the states reachable
+    # from this start holds the start (a search over restrictions from it
+    # ran past 20,000 branches)
+    graph = build_graph(random_game(GameParams(4, 6), 7), BETTER_LEX)
+    res = from_state(graph, (2, 2, 3, 3, 1, 2))
+    assert res.reachable == 2788
+    assert not res.fip
+    assert res.restricted_fip is True
+
+
+def eu_trap_game():
+    """A 256-state game whose restriction verdict is no, with a 37-state
+    trap and no forced cycle under better replies and expected utility."""
+    form = PluralityForm(
+        default_names(4), (3, 2, 1, 2), (0, 0, 0, 1), TieBreak.RANDOMIZED
+    )
+    rankings = ((0, 1, 3, 2), (2, 3, 0, 1), (2, 0, 1, 3), (3, 1, 2, 0))
+    utilities = (
+        (394, 244, 88, 188),
+        (205, 185, 343, 259),
+        (218, 178, 230, 143),
+        (75, 198, 142, 201),
+    )
+    return Game(
+        form,
+        tuple(map(PreferenceOrder, rankings)),
+        tuple(map(UtilityVector, utilities)),
+    )
+
+
+BETTER_EU = ReplyPolicy(ReplyKind.BETTER, ComparatorMode.EXPECTED_UTILITY)
+
+
+def test_restricted_fip_trap_on_the_256_state_eu_game():
+    graph = build_graph(eu_trap_game(), BETTER_EU)
+    assert graph.num_nodes == 256
+    verdict = is_restricted_fip(graph)
+    assert not verdict.holds
+    assert verdict.forced_cycle is None
+    assert len(verdict.trap) == 37
+    assert_valid_trap(graph, verdict.trap)
+    assert verdict.certificate().startswith("trap of 37 states: ")
+    # the trap is exactly the states no restriction makes safe
+    trap = set(verdict.trap)
+    for node, profile in enumerate(graph.profiles):
+        assert from_state(graph, profile).restricted_fip == (node not in trap)
 
 
 def brute_force_restrictions(graph, limit=4096):
@@ -617,7 +685,18 @@ def test_restriction_verdicts_match_brute_force(form, seed):
             if brute is None:
                 continue
             some_acyclic, safe = brute
-            assert is_restricted_fip(graph).holds == some_acyclic
+            verdict = is_restricted_fip(graph)
+            assert verdict.holds == some_acyclic
+            if verdict.holds:
+                assert_valid_selection(graph, verdict.selection)
+                assert not naive_has_cycle(
+                    selection_subgraph(graph, verdict.selection)
+                )
+            else:
+                assert verdict.trap == tuple(
+                    i for i in range(graph.num_nodes) if i not in safe
+                )
+                assert_valid_trap(graph, verdict.trap)
             for node, profile in enumerate(graph.profiles):
                 assert from_state(graph, profile).restricted_fip == (node in safe)
 
@@ -626,8 +705,9 @@ def test_restricted_fip_forced_cycle():
     graph = build_graph(ring_game(), BETTER_LEX)
     verdict = is_restricted_fip(graph)
     assert not verdict.holds
-    assert verdict.forced_cycle is not None and not verdict.exhausted
-    assert verdict.branches == 0
+    assert verdict.forced_cycle is not None
+    assert_valid_trap(graph, verdict.trap)
+    assert {e.src for e in verdict.forced_cycle} <= set(verdict.trap)
     assert {graph.profile_of(e.src) for e in verdict.forced_cycle} == RING_CYCLE
     for e in verdict.forced_cycle:
         assert graph.slot_edges(e.src, e.voter) == (
@@ -639,20 +719,18 @@ def test_restricted_fip_forced_cycle():
 
 
 def test_restricted_fip_exhausted_search():
+    # no forced cycle here: the refutation is the trap alone
     entry = catalog_entry("weighted_direct_cycle")
     graph = build_graph(entry.game, entry.policy)
     verdict = is_restricted_fip(graph)
     assert not verdict.holds
-    assert verdict.exhausted and verdict.forced_cycle is None
-    assert verdict.branches > 0
-    assert "exhausted the restriction space" in verdict.certificate()
-
-
-def test_restricted_fip_branch_budget():
-    entry = catalog_entry("weighted_direct_cycle")
-    graph = build_graph(entry.game, entry.policy)
-    with pytest.raises(LimitError):
-        is_restricted_fip(graph, branch_budget=1)
+    assert verdict.forced_cycle is None and verdict.selection is None
+    assert len(verdict.trap) == 33
+    assert_valid_trap(graph, verdict.trap)
+    assert verdict.certificate() == (
+        "trap of 33 states: every restriction cycles from each of them "
+        "(at each, some voter's every allowed move stays in the trap)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +775,6 @@ def test_from_state_inside_ring_sees_no_way_out():
     assert not res.weak_fip  # ...but not from the ring states downstream
     assert res.restricted_fip is False
     assert res.longest is None
-    lazy = from_state(graph, (0, 2), compute_restricted=False)
-    assert lazy.restricted_fip is None
 
 
 def test_from_state_restriction_can_escape_a_cycle():
@@ -752,15 +828,33 @@ def test_classify_game_report_consistency():
         assert fs.reachable <= report.num_nodes
 
 
-def test_classify_game_answers_starts_from_the_global_restriction():
-    # a restriction acyclic everywhere settles every start; from this one
-    # the per-start search alone outruns a 500,000-branch budget
+def test_classify_game_answers_starts_from_the_global_restriction(monkeypatch):
+    # one attractor over the whole graph settles every start: no start
+    # computes its own
+    calls = []
+    attractor = analysis._attractor
+
+    def counting_attractor(*args):
+        calls.append(args[0])
+        return attractor(*args)
+
+    monkeypatch.setattr(analysis, "_attractor", counting_attractor)
     game = random_game(GameParams(4, 6), 7)
-    start = (2, 2, 3, 3, 1, 2)
-    report = classify_game(game, BETTER_LEX, starts=(start,), branch_budget=10_000)
+    starts = ((2, 2, 3, 3, 1, 2), truthful_profile(game))
+    report = classify_game(game, BETTER_LEX, starts=starts)
     assert report.restricted_fip.holds
     assert not report.from_starts[0].fip
-    assert report.from_starts[0].restricted_fip is True
+    assert [fs.restricted_fip for fs in report.from_starts] == [True, True]
+    # is_weak_fip, the global restriction, and the weak verdict per start
+    assert len(calls) == 2 + len(starts)
+    # and on a graph whose restriction fails, each start reads the trap
+    graph = build_graph(eu_trap_game(), BETTER_EU)
+    trap = set(is_restricted_fip(graph).trap)
+    starts = (graph.profiles[min(trap)], graph.profiles[0])
+    report = classify_game(eu_trap_game(), BETTER_EU, starts=starts)
+    assert [fs.restricted_fip for fs in report.from_starts] == [
+        from_state(graph, s).restricted_fip for s in starts
+    ] == [False, 0 not in trap]
 
 
 def test_classify_game_peels_an_acyclic_graph_once(monkeypatch):

@@ -382,8 +382,8 @@ def test_classify_reports_stack_exhaustion_as_a_resource_limit(
 
 
 def test_classify_decides_the_4096_state_game(tmp_path):
-    # its largest cyclic component has 2,247 nodes; the restriction search
-    # keeps its own stack, so depth is no limit and the verdict is final
+    # its largest cyclic component has 2,247 nodes; the restriction verdict
+    # does not recurse, so depth is no limit and the verdict is final
     path = tmp_path / "lex4096.game"
     dump(random_game(GameParams(4, 6), 7), str(path))
     proc = subprocess.run(
@@ -396,6 +396,40 @@ def test_classify_decides_the_4096_state_game(tmp_path):
     for line in ("fip: no", "weak_fip: yes", "restricted_fip: yes"):
         assert line in lines
     assert "  restriction over 8070 slots with an acyclic move graph" in lines
+
+
+def test_classify_gives_the_256_state_eu_game_a_trap(capsys, tmp_path):
+    # every restriction of this game's better/EU graph cycles; the verdict
+    # is a 37-state trap, not a resource limit (exit 3)
+    path = tmp_path / "eu256.game"
+    path.write_text(
+        "form plurality\n"
+        "candidates a b c d\n"
+        "tiebreak random\n"
+        "initial_scores 0 0 0 1\n"
+        "voter w=3 actions=* prefs = a > b > d > c\n"
+        "utilities = 394 244 88 188\n"
+        "voter w=2 actions=* prefs = c > d > a > b\n"
+        "utilities = 205 185 343 259\n"
+        "voter w=1 actions=* prefs = c > a > b > d\n"
+        "utilities = 218 178 230 143\n"
+        "voter w=2 actions=* prefs = d > b > c > a\n"
+        "utilities = 75 198 142 201\n"
+    )
+    trap_line = (
+        "  trap of 37 states: every restriction cycles from each of them "
+        "(at each, some voter's every allowed move stays in the trap)"
+    )
+    code, out, err = run(capsys, "classify", str(path), "--comparator", "eu")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "policy: better/eu" in lines
+    assert lines[lines.index("restricted_fip: no") + 1] == trap_line
+    code, prop_out, err = run(
+        capsys, "classify", str(path), "--comparator", "eu",
+        "--property", "restricted-fip",
+    )
+    assert (code, prop_out, err) == (1, out, "")
 
 
 # --- graph ---
