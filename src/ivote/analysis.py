@@ -32,8 +32,9 @@ import random
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from math import lcm, prod
-from operator import eq, getitem, index, itemgetter, sub
+from operator import eq, getitem, index, sub
 from typing import Optional
 
 from .core import (
@@ -54,6 +55,7 @@ from .dynamics import (
     ReplyPolicy,
     classify_step,
     format_trace,
+    select_replies,
 )
 
 DEFAULT_NODE_LIMIT = 1_000_000
@@ -291,11 +293,10 @@ class _Skeleton:
 def _reply_graph(skel: _Skeleton, game: Game, policy: ReplyPolicy) -> BetterReplyGraph:
     """The reply graph of ``game``, whose form ``skel`` was built from."""
     comp = OutcomeComparator(game, policy.comparator)
-    sets = skel.sets
-    ids = skel.outcome_ids
+    outcomes = skel.outcomes
     # prefers[v][x][y]: does voter v strictly prefer outcome y to x?
     # Filled on first use, both directions from one comparison.
-    prefers = [[{} for _ in sets] for _ in range(game.n)]
+    prefers = [{x: {} for x in skel.sets} for _ in range(game.n)]
     SB = SetComparison.STRICTLY_BETTER
     SW = SetComparison.STRICTLY_WORSE
 
@@ -304,60 +305,39 @@ def _reply_graph(skel: _Skeleton, game: Game, policy: ReplyPolicy) -> BetterRepl
         row = prefers[v][x]
         better = row.get(y)
         if better is None:
-            verdict = comp.compare(v, sets[y], sets[x])
+            verdict = comp.compare(v, y, x)
             prefers[v][y][x] = verdict is SW
             better = row[y] = verdict is SB
         return better
 
     kind = policy.kind
+    voter_beats = [partial(beats, v) for v in range(game.n)]
     offsets = array("i", [0])
     src, voter, action, dst = (array("i") for _ in range(4))
     positions = itertools.product(*map(range, skel.sizes))
-    for i, (x, pos) in enumerate(zip(ids, positions)):
+    for i, (x, pos) in enumerate(zip(outcomes, positions)):
         for v, others in enumerate(map(getitem, skel.moves, pos)):
-            improving = []
+            better = []
             # beats(v, y, x) inlined: this runs once per (node, voter, action)
             row = prefers[v][x]
             for a, offset, c in others:
                 j = i + offset
-                y = ids[j]
+                y = outcomes[j]
                 try:
-                    better = row[y]
+                    improves = row[y]
                 except KeyError:
-                    better = beats(v, y, x)
-                if better:
-                    improving.append((a, j, c))
-            if not improving:
-                continue
-            if kind is not ReplyKind.BETTER:
-                if kind is ReplyKind.DIRECT:
-                    improving = [
-                        (a, j, c)
-                        for a, j, c in improving
-                        if c is not None and c in sets[ids[j]]
-                    ]
-                else:  # BEST or DIRECT_BEST: outcome-maximal better replies
-                    # an outcome never beats itself, so j needs no exclusion
-                    improving = [
-                        (a, j, c)
-                        for a, j, c in improving
-                        if not any(beats(v, ids[jj], ids[j]) for _, jj, _ in improving)
-                    ]
-                    if kind is ReplyKind.DIRECT_BEST:
-                        direct = [
-                            (a, j, c)
-                            for a, j, c in improving
-                            if c is not None and c in sets[ids[j]]
-                        ]
-                        improving = [min(direct, key=itemgetter(2))] if direct else []
-            for a, j, _ in improving:
-                src.append(i)
-                voter.append(v)
-                action.append(a)
-                dst.append(j)
+                    improves = beats(v, y, x)
+                if improves:
+                    better.append((a, y, c, j))
+            if better:
+                for a, _, _, j in select_replies(kind, better, voter_beats[v]):
+                    src.append(i)
+                    voter.append(v)
+                    action.append(a)
+                    dst.append(j)
         offsets.append(len(dst))
     return BetterReplyGraph(
-        game, policy, skel.profiles, skel.outcomes, offsets, src, voter, action, dst
+        game, policy, skel.profiles, outcomes, offsets, src, voter, action, dst
     )
 
 
@@ -889,11 +869,9 @@ def _from_state(graph: BetterReplyGraph, start: Profile, trap) -> FromStateResul
 # bundled classification
 
 
-def hierarchy_holds(
-    has_ne: bool, fip: bool, weak_fip: bool, restricted_fip: Optional[bool]
-) -> bool:
+def hierarchy_holds(has_ne: bool, fip: bool, weak_fip: bool, restricted_fip: bool) -> bool:
     """fip => restricted-fip => weak-fip => an equilibrium exists."""
-    if fip and restricted_fip is False:
+    if fip and not restricted_fip:
         return False
     if restricted_fip and not weak_fip:
         return False
@@ -1279,6 +1257,20 @@ def conjecture_scan(
         raise ConfigurationError(f"unknown property {prop!r}")
     if trials < 1:
         raise ConfigurationError(f"trial count must be a positive integer: {trials}")
+    for what, lo, hi in (
+        ("candidate", params.min_candidates, params.max_candidates),
+        ("voter", params.min_voters, params.max_voters),
+    ):
+        if lo > hi:
+            raise ConfigurationError(f"empty {what} range: {lo} to {hi}")
+    if params.weight_bound < 1:
+        raise ConfigurationError(
+            f"weight bound must be a positive integer: {params.weight_bound}"
+        )
+    if params.score_bound < 0:
+        raise ConfigurationError(
+            f"score bound must be a non-negative integer: {params.score_bound}"
+        )
     if policy is None:
         policy = ReplyPolicy(ReplyKind.DIRECT, ComparatorMode.LEX_SINGLETON)
     node_limit = _node_limit(node_limit)

@@ -30,7 +30,6 @@ from .core import (
     Game,
     IvoteError,
     LimitError,
-    TieBreak,
     format_candidate_set,
     format_profile,
 )
@@ -101,26 +100,16 @@ def _policy_args(sub, default_kind: str = "better") -> None:
     )
 
 
-def _mode_for_form(form) -> ComparatorMode:
-    if form.kind == "plurality":
-        deterministic = form.tiebreak is TieBreak.LEXICOGRAPHIC
-    else:
-        deterministic = form.all_singleton
-    if deterministic:
-        return ComparatorMode.LEX_SINGLETON
-    return ComparatorMode.STOCHASTIC_DOMINANCE
-
-
 def _policy_for(args, loaded) -> ReplyPolicy:
-    kind = ReplyKind(args.policy)
-    if args.comparator == "auto":
-        if isinstance(loaded, Game):
-            mode = default_comparator(loaded)
-        else:
-            mode = _mode_for_form(loaded)
-    else:
+    if args.comparator != "auto":
         mode = ComparatorMode(args.comparator)
-    return ReplyPolicy(kind, mode)
+    elif isinstance(loaded, Game):
+        mode = default_comparator(loaded)
+    elif loaded.deterministic:  # a bare form has no utilities
+        mode = ComparatorMode.LEX_SINGLETON
+    else:
+        mode = ComparatorMode.STOCHASTIC_DOMINANCE
+    return ReplyPolicy(ReplyKind(args.policy), mode)
 
 
 def _resolve_profile(form, text: str) -> tuple:
@@ -313,11 +302,11 @@ def _cmd_graph(args) -> int:
     graph = build_graph(game, policy, node_limit=args.node_limit)
     form = game.form
     sink_set = set(sinks(graph))
-    bold = set()
+    cyclic = {}  # node -> index of its strongly connected component, if not trivial
     if args.highlight_cycles:
-        for comp in _scc_partition(graph.num_nodes, graph.successors):
+        for k, comp in enumerate(_scc_partition(graph.num_nodes, graph.successors)):
             if len(comp) > 1:
-                bold.update(comp)
+                cyclic.update(dict.fromkeys(comp, k))
     lines = ["digraph replies {", "  rankdir=LR;", '  node [shape=box];']
     for i in range(graph.num_nodes):
         label = (
@@ -328,7 +317,7 @@ def _cmd_graph(args) -> int:
         lines.append(f'  n{i} [label="{label}"{extra}];')
     for e in graph.edges:
         attrs = f'label="{e.voter + 1}:{form.action_name(e.voter, e.action)}"'
-        if args.highlight_cycles and e.src in bold and e.dst in bold:
+        if e.src in cyclic and cyclic[e.src] == cyclic.get(e.dst):
             attrs += ", penwidth=2"
         lines.append(f"  n{e.src} -> n{e.dst} [{attrs}];")
     lines.append("}")

@@ -29,7 +29,6 @@ from .core import (
     Game,
     LimitError,
     PreferenceOrder,
-    TieBreak,
     UtilityVector,
 )
 
@@ -455,17 +454,8 @@ class OutcomeComparator:
             raise ConfigurationError(
                 "expected-utility comparison needs a game with utilities"
             )
-        if mode is ComparatorMode.LEX_SINGLETON:
-            form = game.form
-            deterministic = (
-                form.tiebreak is TieBreak.LEXICOGRAPHIC
-                if form.kind == "plurality"
-                else form.all_singleton
-            )
-            if not deterministic:
-                raise ConfigurationError(
-                    "lexicographic comparison needs a deterministic form"
-                )
+        if mode is ComparatorMode.LEX_SINGLETON and not game.form.deterministic:
+            raise ConfigurationError("lexicographic comparison needs a deterministic form")
         self.game = game
         self.mode = mode
         self._cache = {}

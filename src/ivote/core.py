@@ -264,6 +264,11 @@ class PluralityForm:
     def n(self) -> int:
         return len(self.weights)
 
+    @property
+    def deterministic(self) -> bool:
+        """True when every outcome is a single candidate."""
+        return self.tiebreak is TieBreak.LEXICOGRAPHIC
+
     def actions(self, voter: int) -> tuple:
         return self.action_sets[voter]
 
@@ -402,7 +407,7 @@ class TabularForm:
         return len(self.action_labels)
 
     @property
-    def all_singleton(self) -> bool:
+    def deterministic(self) -> bool:
         """True when every outcome is a single candidate."""
         return self._singleton
 

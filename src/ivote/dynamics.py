@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import (
@@ -34,7 +35,6 @@ from .core import (
     GameSpecError,
     Profile,
     ScheduleError,
-    TieBreak,
     format_candidate_set,
 )
 from .comparators import ComparatorMode, OutcomeComparator, SetComparison
@@ -45,6 +45,11 @@ class ReplyKind(Enum):
     BEST = "best"
     DIRECT = "direct"
     DIRECT_BEST = "direct-best"
+
+
+# the members as plain globals: reading one off the class costs a descriptor
+# call, and the graph builder selects replies once per (state, voter)
+_BETTER, _BEST, _DIRECT = ReplyKind.BETTER, ReplyKind.BEST, ReplyKind.DIRECT
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,7 @@ def default_comparator(game: Game) -> ComparatorMode:
     """The natural comparator for a game: lexicographic when outcomes are
     single winners, otherwise expected utility when utilities are present,
     otherwise stochastic dominance."""
-    form = game.form
-    if form.kind == "plurality":
-        deterministic = form.tiebreak is TieBreak.LEXICOGRAPHIC
-    else:
-        deterministic = form.all_singleton
-    if deterministic:
+    if game.form.deterministic:
         return ComparatorMode.LEX_SINGLETON
     if game.utilities is not None:
         return ComparatorMode.EXPECTED_UTILITY
@@ -78,6 +78,28 @@ def default_policy(game: Game, kind: ReplyKind = ReplyKind.BETTER) -> ReplyPolic
     return ReplyPolicy(kind, default_comparator(game))
 
 
+def select_replies(kind: ReplyKind, better: list, beats) -> list:
+    """The moves ``kind`` allows among one voter's better replies at a state.
+
+    ``better`` lists those replies in action order, each a tuple that starts
+    ``(action, outcome, named candidate or None)``; further fields ride
+    along. ``beats(y, x)`` tells whether the voter strictly prefers outcome
+    y to outcome x. The result keeps action order; DIRECT_BEST keeps at most
+    one reply, the one naming the lowest candidate.
+    """
+    if kind is _BETTER:
+        return better
+    if kind is not _DIRECT:
+        # outcome-maximal replies; an outcome never beats itself
+        better = [r for r in better if not any(beats(s[1], r[1]) for s in better)]
+        if kind is _BEST:
+            return better
+    direct = [r for r in better if r[2] in r[1]]
+    if kind is _DIRECT or not direct:
+        return direct
+    return [min(direct, key=itemgetter(2))]
+
+
 def improvement_set(
     game: Game,
     profile: Profile,
@@ -85,51 +107,24 @@ def improvement_set(
     policy: ReplyPolicy,
     comparator: Optional[OutcomeComparator] = None,
 ) -> tuple:
-    """The actions ``voter`` may move to at ``profile`` under ``policy``.
-
-    Returned in increasing action order. DIRECT_BEST returns at most one
-    action (lowest candidate index among the direct, outcome-maximal ones).
-    """
+    """The actions ``voter`` may move to at ``profile`` under ``policy``,
+    in increasing action order (see ``select_replies``)."""
     comp = comparator if comparator is not None else OutcomeComparator(game, policy.comparator)
     form = game.form
-    current = profile[voter]
     old_out = form.outcome(profile)
-    improving = []
-    outs = {}
     before = profile[:voter]
     after = profile[voter + 1 :]
+
+    def beats(y, x):
+        return comp.compare(voter, y, x) is SetComparison.STRICTLY_BETTER
+
+    better = []
     for a in form.actions(voter):
-        if a == current:
-            continue
-        new_out = form.outcome(before + (a,) + after)
-        if comp.compare(voter, new_out, old_out) is SetComparison.STRICTLY_BETTER:
-            improving.append(a)
-            outs[a] = new_out
-    kind = policy.kind
-    if kind is ReplyKind.BETTER:
-        return tuple(improving)
-
-    def is_direct(a):
-        c = form.action_candidate(voter, a)
-        return c is not None and c in outs[a]
-
-    if kind is ReplyKind.DIRECT:
-        return tuple(a for a in improving if is_direct(a))
-    # best replies: keep actions whose outcome no other better reply beats
-    best = []
-    for a in improving:
-        if not any(
-            b != a
-            and comp.compare(voter, outs[b], outs[a]) is SetComparison.STRICTLY_BETTER
-            for b in improving
-        ):
-            best.append(a)
-    if kind is ReplyKind.BEST:
-        return tuple(best)
-    direct_best = [a for a in best if is_direct(a)]
-    if not direct_best:
-        return ()
-    return (min(direct_best, key=lambda a: form.action_candidate(voter, a)),)
+        if a != profile[voter]:
+            new_out = form.outcome(before + (a,) + after)
+            if beats(new_out, old_out):
+                better.append((a, new_out, form.action_candidate(voter, a)))
+    return tuple(r[0] for r in select_replies(policy.kind, better, beats))
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +419,8 @@ def run_path(
     Script exhaustion at a state with no movers counts as convergence;
     with movers remaining it truncates the run.
     """
+    if max_steps < 0:
+        raise ConfigurationError(f"step bound must be a non-negative integer: {max_steps}")
     if scheduler is None:
         scheduler = SchedulerSpec()
     start = tuple(start)

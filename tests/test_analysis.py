@@ -65,7 +65,7 @@ from ivote.analysis import (
     _scc_partition,
     longest_path_from,
 )
-from ivote.comparators import SetComparison, eu_compare
+from ivote.comparators import OutcomeComparator, SetComparison, eu_compare
 from ivote.dynamics import run_path, SchedulerSpec, RoundRobin
 
 BETTER_LEX = ReplyPolicy(ReplyKind.BETTER, ComparatorMode.LEX_SINGLETON)
@@ -178,9 +178,59 @@ def test_graph_edges_match_improvement_sets():
         assert_matches_improvement_sets(build_graph(game, policy))
 
 
+def reference_improvement_set(game, profile, voter, policy, comparator=None):
+    """The plain per-state reply filter, kept apart from the library's
+    shared rule (``dynamics.select_replies``) so that the graph builder and
+    ``improvement_set`` are each checked against an independent oracle.
+
+    Returned in increasing action order. DIRECT_BEST returns at most one
+    action (lowest candidate index among the direct, outcome-maximal ones).
+    """
+    comp = comparator if comparator is not None else OutcomeComparator(game, policy.comparator)
+    form = game.form
+    current = profile[voter]
+    old_out = form.outcome(profile)
+    improving = []
+    outs = {}
+    before = profile[:voter]
+    after = profile[voter + 1 :]
+    for a in form.actions(voter):
+        if a == current:
+            continue
+        new_out = form.outcome(before + (a,) + after)
+        if comp.compare(voter, new_out, old_out) is SetComparison.STRICTLY_BETTER:
+            improving.append(a)
+            outs[a] = new_out
+    kind = policy.kind
+    if kind is ReplyKind.BETTER:
+        return tuple(improving)
+
+    def is_direct(a):
+        c = form.action_candidate(voter, a)
+        return c is not None and c in outs[a]
+
+    if kind is ReplyKind.DIRECT:
+        return tuple(a for a in improving if is_direct(a))
+    # best replies: keep actions whose outcome no other better reply beats
+    best = []
+    for a in improving:
+        if not any(
+            b != a
+            and comp.compare(voter, outs[b], outs[a]) is SetComparison.STRICTLY_BETTER
+            for b in improving
+        ):
+            best.append(a)
+    if kind is ReplyKind.BEST:
+        return tuple(best)
+    direct_best = [a for a in best if is_direct(a)]
+    if not direct_best:
+        return ()
+    return (min(direct_best, key=lambda a: form.action_candidate(voter, a)),)
+
+
 def assert_matches_improvement_sets(graph):
-    """The graph's edges are the union of ``improvement_set`` over all
-    states, in action order per (node, voter) slot."""
+    """The graph's edges are the union of ``reference_improvement_set``
+    over all states, in action order per (node, voter) slot."""
     game, policy = graph.game, graph.policy
     form = game.form
     assert graph.num_nodes == prod(len(form.actions(v)) for v in range(game.n))
@@ -190,7 +240,7 @@ def assert_matches_improvement_sets(graph):
         assert graph.node_of(p) == node
         assert graph.outcomes[node] == form.outcome(p)
         for v in range(game.n):
-            want = improvement_set(game, p, v, policy)
+            want = reference_improvement_set(game, p, v, policy)
             eids = graph.slot_edges(node, v)
             assert tuple(graph.edges[e].action for e in eids) == want
             for e in (graph.edges[e] for e in eids):
@@ -294,11 +344,7 @@ def symmetric_forms(draw):
 def valid_modes(form):
     """Every comparator a game with utilities supports on ``form``."""
     modes = [m for m in ComparatorMode if m is not ComparatorMode.LEX_SINGLETON]
-    if form.kind == "plurality":
-        deterministic = form.tiebreak is TieBreak.LEXICOGRAPHIC
-    else:
-        deterministic = form.all_singleton
-    if deterministic:
+    if form.deterministic:
         modes.append(ComparatorMode.LEX_SINGLETON)
     return modes
 
@@ -343,6 +389,43 @@ def test_shared_skeleton_matches_standalone_builds(form, seed):
             assert graph.edges == alone.edges
             assert graph.out_edges == alone.out_edges
             assert_matches_improvement_sets(graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_forms(), st.integers(0, 10**6))
+def test_improvement_set_matches_the_plain_reference(form, seed):
+    rng = random.Random(seed)
+    prefs = tuple(PreferenceOrder(rng.sample(range(form.m), form.m))
+                  for _ in range(form.n))
+    game = Game(form, prefs, random_consistent_utilities(prefs, rng))
+    states = list(itertools.product(*(form.actions(v) for v in range(form.n))))
+    for mode in valid_modes(form):
+        for kind in ReplyKind:
+            policy = ReplyPolicy(kind, mode)
+            for p in states:
+                for v in range(form.n):
+                    assert improvement_set(game, p, v, policy) == (
+                        reference_improvement_set(game, p, v, policy)
+                    ), (p, v, policy)
+
+
+def test_reply_graph_compares_each_outcome_pair_once():
+    # the best-reply selection reads the per-game preference tables, so it
+    # costs no comparison beyond those of the better-reply test
+    calls = []
+    compare = OutcomeComparator.compare
+
+    def counting(self, voter, x, y):
+        calls.append((voter, frozenset((x, y))))
+        return compare(self, voter, x, y)
+
+    game = random_game(GameParams(3, 4, tiebreak=TieBreak.RANDOMIZED), 0)
+    with mock.patch.object(OutcomeComparator, "compare", counting):
+        for mode in (ComparatorMode.EXPECTED_UTILITY, ComparatorMode.STOCHASTIC_DOMINANCE):
+            for kind in ReplyKind:
+                calls.clear()
+                build_graph(game, ReplyPolicy(kind, mode))
+                assert calls and len(calls) == len(set(calls)), (kind, mode)
 
 
 def test_node_of_rejects_malformed_profiles():
@@ -792,7 +875,6 @@ def test_hierarchy_holds_table():
     assert not hierarchy_holds(True, True, True, False)
     assert not hierarchy_holds(True, False, False, True)
     assert not hierarchy_holds(False, False, True, False)
-    assert hierarchy_holds(True, False, False, None)
 
 
 # ---------------------------------------------------------------------------

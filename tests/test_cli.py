@@ -127,6 +127,17 @@ def test_simulate_max_steps_truncates(capsys, lbc):
     assert out.endswith("status: truncated after 3 steps\n")
 
 
+def test_simulate_negative_max_steps_is_a_usage_error(capsys, lbc):
+    argv = ("simulate", lbc, "--start", "b,c", "--max-steps")
+    code, out, err = run(capsys, *argv, "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: step bound must be a non-negative integer: -3\n"
+    code, out, _ = run(capsys, *argv, "0")
+    assert code == 0
+    assert out == "start (b,c) {a}\nstatus: truncated after 0 steps\n"
+
+
 @pytest.mark.parametrize(
     "argv, needle",
     [
@@ -475,6 +486,29 @@ def test_graph_without_highlighting_has_no_penwidth(capsys, lbc):
     assert out.replace(", penwidth=2", "") == GRAPH_DOT.replace(", penwidth=2", "")
 
 
+def test_graph_highlights_only_edges_inside_one_component(capsys, tmp_path):
+    # five cyclic components, with 28 edges that join two different ones
+    game = random_game(GameParams(3, 4, tiebreak=TieBreak.RANDOMIZED), 0)
+    path = tmp_path / "random.game"
+    dump(game, str(path))
+    code, out, _ = run(capsys, "graph", str(path), "--highlight-cycles")
+    assert code == 0
+    graph = analysis.build_graph(game, ReplyPolicy(ReplyKind.BETTER, ComparatorMode.EXPECTED_UTILITY))
+    comps = analysis._scc_partition(graph.num_nodes, graph.successors)
+    comp_of = {i: k for k, comp in enumerate(comps) if len(comp) > 1 for i in comp}
+    assert len(set(comp_of.values())) == 5
+    lines = [ln for ln in out.splitlines() if " -> " in ln]
+    assert len(lines) == graph.num_edges
+    bold = across = 0
+    for e, line in zip(graph.edges, lines):
+        assert line.startswith(f"  n{e.src} -> n{e.dst} [")
+        inside = e.src in comp_of and comp_of[e.src] == comp_of.get(e.dst)
+        across += e.src in comp_of and e.dst in comp_of and not inside
+        bold += inside
+        assert ("penwidth=2" in line) == inside, line
+    assert (bold, across) == (46, 28)
+
+
 def test_graph_output_file_matches_stdout(capsys, lbc, tmp_path):
     target = tmp_path / "g.dot"
     code, out, _ = run(
@@ -628,6 +662,22 @@ def test_scan_finds_better_reply_cycles(capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code2 == 1
     assert out2 == out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-candidates", "1"], "empty candidate range: 2 to 1"),
+        (["--min-voters", "5", "--max-voters", "2"], "empty voter range: 5 to 2"),
+        (["--weight-bound", "0"], "weight bound must be a positive integer: 0"),
+        (["--score-bound", "-1"], "score bound must be a non-negative integer: -1"),
+    ],
+)
+def test_scan_bad_ranges_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, "scan", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 # --- plumbing ---

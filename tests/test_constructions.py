@@ -116,7 +116,7 @@ def test_unweighted_default_bounds():
 
 def test_dictatorship_elects_the_dictators_ballot():
     form = dictatorship_form(3, 2, dictator=1)
-    assert form.all_singleton
+    assert form.deterministic
     for profile in itertools.product(range(3), repeat=2):
         assert form.outcome(profile) == frozenset({profile[1]})
     with pytest.raises(GameSpecError):

@@ -179,11 +179,11 @@ def test_tabular_rejects_bad_outcomes():
 def test_tabular_outcome_and_singleton_flag():
     form = TabularForm(("a", "b"), (("x", "y"), ("x", "y")), two_voter_table())
     assert tabular_outcome(form, (1, 1)) == frozenset({0, 1})
-    assert not form.all_singleton
+    assert not form.deterministic
     sing = TabularForm(
         ("a", "b"), (("x", "y"), ("x", "y")), two_voter_table({(1, 1): {0}})
     )
-    assert sing.all_singleton
+    assert sing.deterministic
 
 
 def test_tabular_action_candidate_maps_labels_to_candidates():
