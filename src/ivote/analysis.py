@@ -8,7 +8,8 @@ per action profile, one edge per allowed single-voter move. On top of it:
   under a favourable scheduler)?
 * ``is_restricted_fip`` - can a scheduler fix, per (state, voter), ONE of
   the voter's allowed actions so that the restricted graph is acyclic?
-* ``from_state`` - the same three questions relative to a start state;
+* ``from_state`` - the same three questions asked of the reply graph on
+  the states play can reach from a start (``_reachable``);
 * ``longest_convergence_path`` - worst-case path length of acyclic graphs;
 * ``classify_game`` / ``classify_game_form`` - bundled reports, the form
   variant quantifying over preference profiles (and sampled utilities);
@@ -33,7 +34,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from math import lcm, prod
+from math import factorial, lcm, prod
 from operator import eq, getitem, index, sub
 from typing import Optional
 
@@ -68,6 +69,11 @@ _flatten = itertools.chain.from_iterable
 # or many distinct utility orders build the rest of their graphs as the
 # reply filter does, instead of growing without bound.
 _BLOCK_CACHE_ROWS = 1 << 18
+# An exhaustive form sweep checks at most this many games (preference
+# profiles, times utility samples under expected utility). The largest
+# sweep in use, m=5 and n=3, checks 1,728,000; past the limit the list of
+# m! orders alone can exhaust memory, as (15!)^n profiles would.
+_SWEEP_LIMIT = 10**7
 
 
 def default_node_limit() -> int:
@@ -417,35 +423,21 @@ class FipResult:
     order: Optional[array] = field(default=None, repr=False, compare=False)
 
 
-def _peel(num_nodes: int, offsets, heads, alive=None) -> list:
-    """Kahn's source peel of ``alive`` (all nodes when None): the nodes in
-    the order they reach indegree 0. It covers every node iff the subgraph
-    is acyclic. Node i's edges enter the nodes
-    ``heads[offsets[i]:offsets[i + 1]]``, and ``heads`` lists no others."""
-    if alive is None:
-        indeg = [0] * num_nodes
-        for dst in heads:
-            indeg[dst] += 1
-        order = [i for i in range(num_nodes) if indeg[i] == 0]
-        # the loop visits the nodes it appends, so ``order`` is also the queue
-        for i in order:
-            for dst in heads[offsets[i] : offsets[i + 1]]:
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    order.append(dst)
-        return order
-    indeg = dict.fromkeys(alive, 0)
-    for i in alive:
-        for dst in heads[offsets[i] : offsets[i + 1]]:
-            if dst in indeg:
-                indeg[dst] += 1
-    order = [i for i in alive if indeg[i] == 0]
+def _peel(num_nodes: int, offsets, heads) -> list:
+    """Kahn's source peel: the nodes in the order they reach indegree 0. It
+    covers every node iff the graph is acyclic. Node i's edges enter the
+    nodes ``heads[offsets[i]:offsets[i + 1]]``, and ``heads`` lists no
+    others."""
+    indeg = [0] * num_nodes
+    for dst in heads:
+        indeg[dst] += 1
+    order = [i for i in range(num_nodes) if indeg[i] == 0]
+    # the loop visits the nodes it appends, so ``order`` is also the queue
     for i in order:
         for dst in heads[offsets[i] : offsets[i + 1]]:
-            if dst in indeg:
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    order.append(dst)
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                order.append(dst)
     return order
 
 
@@ -474,14 +466,12 @@ def _cyclic_core(offsets, heads, core_nodes) -> frozenset:
     return frozenset(core - removed)
 
 
-def _extract_cycle(
-    graph: BetterReplyGraph, offsets, heads, eids, nodes, order
-) -> tuple:
-    """Walk inside the cyclic core of a subgraph of ``graph``, on what the
-    peel ``order`` left of ``nodes``, until a node repeats; return that loop
-    as ``Edge`` objects. Adjacency as for ``_peel``; ``eids[k]`` is the
-    graph's id of the edge that enters ``heads[k]``."""
-    left = set(nodes)
+def _extract_cycle(graph: BetterReplyGraph, offsets, heads, eids, order) -> tuple:
+    """Walk inside the cyclic core of a subgraph of ``graph`` on all its
+    nodes, on what the peel ``order`` left, until a node repeats; return
+    that loop as ``Edge`` objects. Adjacency as for ``_peel``; ``eids[k]``
+    is the graph's id of the edge that enters ``heads[k]``."""
+    left = set(range(graph.num_nodes))
     left.difference_update(order)  # in place: one hash table, not two
     core_nodes = _cyclic_core(offsets, heads, left)
     start = min(core_nodes)
@@ -503,17 +493,14 @@ def _extract_cycle(
         path.append(node)
 
 
-def is_fip(graph: BetterReplyGraph, alive=None) -> FipResult:
-    """Whether every improvement path (within ``alive``, if given) is finite."""
-    order = _peel(graph.num_nodes, graph.offsets, graph.dst, alive)
-    nodes = range(graph.num_nodes) if alive is None else alive
-    if len(order) == len(nodes):
+def is_fip(graph: BetterReplyGraph) -> FipResult:
+    """Whether every improvement path is finite."""
+    order = _peel(graph.num_nodes, graph.offsets, graph.dst)
+    if len(order) == graph.num_nodes:
         return FipResult(True, order=array("i", order))
     return FipResult(
         False,
-        _extract_cycle(
-            graph, graph.offsets, graph.dst, range(graph.num_edges), nodes, order
-        ),
+        _extract_cycle(graph, graph.offsets, graph.dst, range(graph.num_edges), order),
     )
 
 
@@ -568,27 +555,14 @@ def _attractor(num_nodes: int, heads, slot, slot_node, pending, seeds) -> tuple:
     return order, settled_by
 
 
-def is_weak_fip(graph: BetterReplyGraph, alive=None) -> WeakFipResult:
-    """Whether a sink is reachable from every node (of ``alive``, if
-    given): the attractor of the sinks when each node is one slot holding
-    all its edges, so the edge that settled it routes toward a sink."""
+def is_weak_fip(graph: BetterReplyGraph) -> WeakFipResult:
+    """Whether a sink is reachable from every node: the attractor of the
+    sinks when each node is one slot holding all its edges, so the edge
+    that settled it routes toward a sink."""
     n = graph.num_nodes
-    if alive is None:
-        nodes = range(n)
-        heads, tails = graph.dst, graph.src
-        sink_nodes = sinks(graph)
-    else:
-        nodes = frozenset(alive)
-        off, dst = graph.offsets, graph.dst
-        kept = [e for i in nodes for e in range(off[i], off[i + 1]) if dst[e] in nodes]
-        heads = array("i", map(dst.__getitem__, kept))
-        tails = array("i", map(graph.src.__getitem__, kept))
-        sink_nodes = nodes.difference(tails)
-    order, route = _attractor(n, heads, tails, range(n), [1] * n, sink_nodes)
-    if len(order) < len(nodes):
-        return WeakFipResult(False, None, tuple(sorted(set(nodes).difference(order))))
-    if alive is not None:
-        return WeakFipResult(True)
+    order, route = _attractor(n, graph.dst, graph.src, range(n), [1] * n, sinks(graph))
+    if len(order) < n:
+        return WeakFipResult(False, None, tuple(sorted(set(range(n)).difference(order))))
     return WeakFipResult(True, tuple(None if e == -1 else e for e in route))
 
 
@@ -697,21 +671,11 @@ def is_restricted_fip(graph: BetterReplyGraph) -> RestrictedFipResult:
     return _restriction(graph, is_fip(graph).holds)
 
 
-def _slots(tails, voters) -> dict:
-    """Each (node, voter) slot of a list of edges, given by their ``tails``
-    and ``voters``, mapped to the position of its first edge, in order.
-    A slot's edges must be one run of the list."""
-    first = {}
-    for pos, key in enumerate(zip(tails, voters)):
-        first.setdefault(key, pos)
-    return first
-
-
 def _slot_attractor(num_nodes: int, heads, first: dict, seeds) -> tuple:
-    """``_attractor`` on the slots ``first`` (see ``_slots``) of a list of
-    edges that leads into ``heads``: every edge of a node set closed under
-    successors, whose sinks are ``seeds``. Slot k is the k-th of
-    ``first``."""
+    """``_attractor`` on the slots of a graph's edges, which lead into
+    ``heads``: ``first`` maps each (node, voter) slot to the id of its
+    first edge, in id order, and ``seeds`` are the sinks. Slot k is the
+    k-th of ``first``."""
     starts = list(first.values())
     lengths = map(sub, [*starts[1:], len(heads)], starts)
     slot = array("i", _flatten(map(itertools.repeat, range(len(starts)), lengths)))
@@ -727,7 +691,9 @@ def _restriction(graph: BetterReplyGraph, acyclic: bool) -> RestrictedFipResult:
     whole graph is ``acyclic``."""
     # the first edge of every (node, voter) slot, in edge-id order; a slot's
     # edges are one run of ids, so these are also the runs' boundaries
-    first = _slots(graph.src, graph.voter)
+    first = {}
+    for eid, key in enumerate(zip(graph.src, graph.voter)):
+        first.setdefault(key, eid)
     if acyclic:
         return RestrictedFipResult(True, first)
     n = graph.num_nodes
@@ -754,7 +720,7 @@ def _restriction(graph: BetterReplyGraph, acyclic: bool) -> RestrictedFipResult:
     peeled = _peel(n, starts, forced_heads)
     cycle = None
     if len(peeled) < n:
-        cycle = _extract_cycle(graph, starts, forced_heads, forced, range(n), peeled)
+        cycle = _extract_cycle(graph, starts, forced_heads, forced, peeled)
     return RestrictedFipResult(False, forced_cycle=cycle, trap=trap)
 
 
@@ -763,9 +729,9 @@ def _restriction(graph: BetterReplyGraph, acyclic: bool) -> RestrictedFipResult:
 
 
 def _longest_from(graph: BetterReplyGraph, order) -> array:
-    """Longest path length (in steps) from every node of ``order``, a
-    topological order of a node set closed under successors, so one reverse
-    sweep sees each node's successors first. Nodes outside it read 0."""
+    """Longest path length (in steps) from every node, given ``order``, a
+    topological order of all nodes, so one reverse sweep sees each node's
+    successors first."""
     off, heads = graph.offsets, graph.dst
     length = array("i", [0]) * graph.num_nodes
     for i in reversed(order):
@@ -785,16 +751,13 @@ def longest_convergence_path(graph: BetterReplyGraph) -> int:
     return max(_longest_from(graph, verdict.order), default=0)
 
 
-def longest_path_from(graph: BetterReplyGraph, node: int) -> int:
-    verdict = is_fip(graph, _forward_closure(graph, node))
-    if not verdict.holds:
-        raise UnsupportedOperationError(
-            "longest path is undefined on a cyclic reachable set"
-        )
-    return _longest_from(graph, verdict.order)[node]
-
-
-def _forward_closure(graph: BetterReplyGraph, node: int) -> frozenset:
+def _reachable(graph: BetterReplyGraph, node: int) -> tuple:
+    """The states play can reach from ``node``, as ``(nodes, sub)``:
+    ``nodes`` lists them ascending, and ``sub`` is the reply graph on them,
+    whose node k is ``nodes[k]`` and whose edges keep their order. Every
+    edge of ``graph`` that leaves one of them is an edge of ``sub``. The
+    start reaches every node of ``sub``, so its longest path is the
+    longest one of ``sub``. ``sub.node_of`` does not apply."""
     off, heads = graph.offsets, graph.dst
     seen = {node}
     stack = [node]
@@ -804,7 +767,34 @@ def _forward_closure(graph: BetterReplyGraph, node: int) -> frozenset:
             if dst not in seen:
                 seen.add(dst)
                 stack.append(dst)
-    return frozenset(seen)
+    nodes = sorted(seen)
+    renumber = dict(zip(nodes, itertools.count()))
+    eids = array("i", _flatten(range(off[i], off[i + 1]) for i in nodes))
+    degrees = [off[i + 1] - off[i] for i in nodes]
+    sub = BetterReplyGraph(
+        graph.game,
+        graph.policy,
+        tuple(map(graph.profiles.__getitem__, nodes)),
+        tuple(map(graph.outcomes.__getitem__, nodes)),
+        array("i", itertools.accumulate(degrees, initial=0)),
+        array("i", _flatten(map(itertools.repeat, range(len(nodes)), degrees))),
+        array("i", map(graph.voter.__getitem__, eids)),
+        array("i", map(graph.action.__getitem__, eids)),
+        array("i", map(renumber.__getitem__, map(heads.__getitem__, eids))),
+    )
+    return nodes, sub
+
+
+def longest_path_from(graph: BetterReplyGraph, node: int) -> int:
+    """Length of the longest improvement path from ``node``; errors when a
+    cycle is reachable from it."""
+    _, sub = _reachable(graph, node)
+    verdict = is_fip(sub)
+    if not verdict.holds:
+        raise UnsupportedOperationError(
+            "longest path is undefined on a cyclic reachable set"
+        )
+    return max(_longest_from(sub, verdict.order))
 
 
 @dataclass(frozen=True)
@@ -822,9 +812,11 @@ class FromStateResult:
 
 
 def from_state(graph: BetterReplyGraph, start: Profile) -> FromStateResult:
-    """Acyclicity of play starting at ``start`` only. Restricted FIP holds
-    from ``start`` iff it lies in the slot attractor (see
-    ``is_restricted_fip``), computed on the states reachable from it."""
+    """Acyclicity of play starting at ``start`` only: the whole-graph
+    analyses asked of the reply graph on the states reachable from it
+    (``_reachable``), with a cycle given in ``graph``'s node ids.
+    Restricted FIP holds from ``start`` iff it lies in the slot attractor
+    (see ``is_restricted_fip``) of that graph."""
     return _from_state(graph, start, None)
 
 
@@ -832,33 +824,30 @@ def _from_state(graph: BetterReplyGraph, start: Profile, trap) -> FromStateResul
     """``from_state`` for a caller that holds the whole graph's restricted
     ``trap`` (empty when restricted FIP holds), or None to compute it."""
     node = graph.node_of(tuple(start))
-    reachable = _forward_closure(graph, node)
-    off = graph.offsets
-    sub_sinks = [i for i in reachable if off[i] == off[i + 1]]
-    fip_verdict = is_fip(graph, reachable)
-    weak = is_weak_fip(graph, reachable).holds
-    longest = None
+    nodes, sub = _reachable(graph, node)
+    fip_verdict = is_fip(sub)
+    weak = is_weak_fip(sub).holds
+    cycle = longest = None
     if fip_verdict.holds:
         restricted = True
-        longest = _longest_from(graph, fip_verdict.order)[node]
-    elif trap is not None:
-        restricted = node not in trap
+        longest = max(_longest_from(sub, fip_verdict.order))
     else:
-        # the closure is closed under successors, so its attractor is the
-        # whole graph's attractor restricted to it
-        kept = [e for i in reachable for e in range(off[i], off[i + 1])]
-        first = _slots(
-            map(graph.src.__getitem__, kept), map(graph.voter.__getitem__, kept)
+        cycle = tuple(
+            Edge(nodes[e.src], e.voter, e.action, nodes[e.dst])
+            for e in fip_verdict.cycle
         )
-        heads = array("i", map(graph.dst.__getitem__, kept))
-        order, _ = _slot_attractor(graph.num_nodes, heads, first, sub_sinks)
-        restricted = node in order
+        if trap is not None:
+            restricted = node not in trap
+        else:
+            # the closure is closed under successors, so its trap is the
+            # whole graph's trap restricted to it
+            restricted = nodes.index(node) not in (_restriction(sub, False).trap or ())
     return FromStateResult(
         start=tuple(start),
-        reachable=len(reachable),
-        has_ne=bool(sub_sinks),
+        reachable=len(nodes),
+        has_ne=bool(sinks(sub)),
         fip=fip_verdict.holds,
-        cycle=fip_verdict.cycle,
+        cycle=cycle,
         weak_fip=weak,
         restricted_fip=restricted,
         longest=longest,
@@ -1025,7 +1014,8 @@ def classify_game_form(
 
     Comparators that need utilities get ``utility_samples`` random consistent
     utility vectors per preference profile; each sampled game must satisfy
-    the property for it to count as holding.
+    the property for it to count as holding. An exhaustive sweep of more
+    than ``_SWEEP_LIMIT`` games raises LimitError before it builds any.
 
     An exhaustive sweep with a comparator that needs no utilities builds
     one game per orbit of the profiles under swaps of interchangeable
@@ -1052,19 +1042,24 @@ def classify_game_form(
         )
     rng = random.Random(seed)
     m, n = form.m, form.n
+    needs_utilities = policy.comparator is ComparatorMode.EXPECTED_UTILITY
     if sample is None:
-        # materializing all m! orders is fine here: exhaustive mode is for
-        # small m anyway
+        profiles = factorial(m) ** n
+        if profiles * (utility_samples if needs_utilities else 1) > _SWEEP_LIMIT:
+            draws = f" x {utility_samples} utility samples" if needs_utilities else ""
+            raise LimitError(
+                f"exhaustive sweep over {profiles} preference profiles{draws} "
+                f"is above the limit of {_SWEEP_LIMIT} games"
+            )
         orders = [PreferenceOrder(p) for p in itertools.permutations(range(m))]
         pref_iter = itertools.product(orders, repeat=n)
-        scope = f"exhaustive over {len(orders) ** n} preference profiles"
+        scope = f"exhaustive over {profiles} preference profiles"
     else:
         pref_iter = (
             tuple(PreferenceOrder(rng.sample(range(m), m)) for _ in range(n))
             for _ in range(sample)
         )
         scope = f"{sample} sampled preference profiles (seed {seed})"
-    needs_utilities = policy.comparator is ComparatorMode.EXPECTED_UTILITY
     sample_utilities = random_consistent_utilities
 
     state = {
@@ -1185,6 +1180,9 @@ def direct_closure(form, start: Profile, node_limit: Optional[int] = None) -> tu
     while stack:
         p = stack.pop()
         out.append(p)
+        # the rule sees only unseen moves that name a candidate; no other
+        # move can be added, so its outcome is not computed
+        moves = []
         for v in range(form.n):
             for a in form.actions(v):
                 if a == p[v]:
@@ -1193,15 +1191,13 @@ def direct_closure(form, start: Profile, node_limit: Optional[int] = None) -> tu
                 if c is None:
                     continue
                 q = p[:v] + (a,) + p[v + 1 :]
-                if q in seen:
-                    continue
-                if c in form.outcome(q):
-                    if len(seen) >= node_limit:
-                        raise LimitError(
-                            f"direct closure exceeded {node_limit} profiles"
-                        )
-                    seen.add(q)
-                    stack.append(q)
+                if q not in seen:
+                    moves.append((a, form.outcome(q), c, q))
+        for _, _, _, q in select_replies(ReplyKind.DIRECT, moves, None):
+            if len(seen) >= node_limit:
+                raise LimitError(f"direct closure exceeded {node_limit} profiles")
+            seen.add(q)
+            stack.append(q)
     return tuple(sorted(out))
 
 

@@ -118,17 +118,14 @@ def _resolve_profile(form, text: str) -> tuple:
         raise ConfigurationError(
             f"profile {text!r} names {len(names)} actions for {form.n} voters"
         )
-    profile = []
-    for voter, name in enumerate(names):
-        for action in form.actions(voter):
-            if form.action_name(voter, action) == name:
-                profile.append(action)
-                break
-        else:
-            raise ConfigurationError(
-                f"voter {voter + 1} has no action named {name!r}"
-            )
-    return tuple(profile)
+    return tuple(_action_named(form, voter, name) for voter, name in enumerate(names))
+
+
+def _action_named(form, voter: int, name: str) -> int:
+    for action in form.actions(voter):
+        if form.action_name(voter, action) == name:
+            return action
+    raise ConfigurationError(f"voter {voter + 1} has no action named {name!r}")
 
 
 def _int_suffix(spec: str, prefix: str) -> int:
@@ -190,17 +187,9 @@ def _actions_rule(spec: str, form, agents):
             raise ConfigurationError(
                 "scripted actions and scripted agents differ in length"
             )
-        values = []
-        for voter, name in zip(agents.voters, names):
-            for action in form.actions(voter):
-                if form.action_name(voter, action) == name:
-                    values.append(action)
-                    break
-            else:
-                raise ConfigurationError(
-                    f"voter {voter + 1} has no action named {name!r}"
-                )
-        return ScriptedActions(tuple(values))
+        return ScriptedActions(
+            tuple(_action_named(form, v, name) for v, name in zip(agents.voters, names))
+        )
     raise ConfigurationError(f"unknown actions rule {spec!r}")
 
 

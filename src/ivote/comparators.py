@@ -40,11 +40,7 @@ class SetComparison(Enum):
     INCOMPARABLE = "incomparable"
 
     def flipped(self) -> "SetComparison":
-        if self is SetComparison.STRICTLY_BETTER:
-            return SetComparison.STRICTLY_WORSE
-        if self is SetComparison.STRICTLY_WORSE:
-            return SetComparison.STRICTLY_BETTER
-        return self
+        return _FLIPPED[self]
 
 
 class ComparatorMode(Enum):
@@ -59,6 +55,23 @@ _SB = SetComparison.STRICTLY_BETTER
 _EQ = SetComparison.EQUAL
 _SW = SetComparison.STRICTLY_WORSE
 _IC = SetComparison.INCOMPARABLE
+_FLIPPED = {_SB: _SW, _EQ: _EQ, _SW: _SB, _IC: _IC}
+
+
+def lex_compare(order: PreferenceOrder, X: Iterable[int], Y: Iterable[int]) -> SetComparison:
+    """Compare two single winners by the voter's order (deterministic
+    forms); sets of any other size are a usage error."""
+    try:
+        (x,) = X
+        (y,) = Y
+    except ValueError:
+        raise ConfigurationError(
+            "lexicographic comparison is defined on single winners only"
+        ) from None
+    if x == y:
+        return _EQ
+    rank = order.rank
+    return _SB if rank[x] < rank[y] else _SW
 
 
 def expected_utility(utility: UtilityVector, subset: Iterable[int]) -> Fraction:
@@ -406,6 +419,17 @@ def adversarial_utility(
 # comparator objects bound to a game
 
 
+# mode -> (the set comparison, whether it reads a voter's utilities rather
+# than their preference order)
+_COMPARATORS = {
+    ComparatorMode.LEX_SINGLETON: (lex_compare, False),
+    ComparatorMode.EXPECTED_UTILITY: (eu_compare, True),
+    ComparatorMode.STOCHASTIC_DOMINANCE: (sd_compare, False),
+    ComparatorMode.LOCAL_DOMINANCE: (ld_compare, False),
+    ComparatorMode.K_ONLY: (k_compare, False),
+}
+
+
 def compare(
     mode: ComparatorMode,
     X: Iterable[int],
@@ -416,29 +440,17 @@ def compare(
     """One-shot comparison of two winner sets under any mode."""
     X = frozenset(X)
     Y = frozenset(Y)
-    if mode is ComparatorMode.EXPECTED_UTILITY:
+    try:
+        relation, on_utilities = _COMPARATORS[mode]
+    except KeyError:
+        raise ConfigurationError(f"unknown comparator mode {mode!r}") from None
+    if on_utilities:
         if utility is None:
             raise ConfigurationError("expected-utility comparison needs utilities")
-        return eu_compare(utility, X, Y)
+        return relation(utility, X, Y)
     if order is None:
         raise ConfigurationError(f"{mode.value} comparison needs a preference order")
-    if mode is ComparatorMode.LEX_SINGLETON:
-        if len(X) != 1 or len(Y) != 1:
-            raise ConfigurationError(
-                "lexicographic comparison is defined on single winners only"
-            )
-        (x,) = X
-        (y,) = Y
-        if x == y:
-            return _EQ
-        return _SB if order.rank[x] < order.rank[y] else _SW
-    if mode is ComparatorMode.STOCHASTIC_DOMINANCE:
-        return sd_compare(order, X, Y)
-    if mode is ComparatorMode.LOCAL_DOMINANCE:
-        return ld_compare(order, X, Y)
-    if mode is ComparatorMode.K_ONLY:
-        return k_compare(order, X, Y)
-    raise ConfigurationError(f"unknown comparator mode {mode!r}")
+    return relation(order, X, Y)
 
 
 class OutcomeComparator:
@@ -446,7 +458,8 @@ class OutcomeComparator:
 
     Validates up front that the game supports the mode: expected utility
     needs utility vectors, and the lexicographic mode needs a form whose
-    outcomes are always singletons.
+    outcomes are always singletons. Lexicographic verdicts are not cached:
+    two rank lookups cost less than a cache probe.
     """
 
     def __init__(self, game: Game, mode: ComparatorMode):
@@ -458,31 +471,20 @@ class OutcomeComparator:
             raise ConfigurationError("lexicographic comparison needs a deterministic form")
         self.game = game
         self.mode = mode
-        self._cache = {}
+        self._relation, on_utilities = _COMPARATORS[mode]
+        self._voters = game.utilities if on_utilities else game.prefs
+        self._cache = None if mode is ComparatorMode.LEX_SINGLETON else {}
 
     def compare(self, voter: int, X: frozenset, Y: frozenset) -> SetComparison:
-        mode = self.mode
-        if mode is ComparatorMode.LEX_SINGLETON:
-            (x,) = X
-            (y,) = Y
-            if x == y:
-                return _EQ
-            rank = self.game.prefs[voter].rank
-            return _SB if rank[x] < rank[y] else _SW
+        cache = self._cache
+        if cache is None:
+            return self._relation(self._voters[voter], X, Y)
         key = (voter, X, Y)
-        hit = self._cache.get(key)
+        hit = cache.get(key)
         if hit is not None:
             return hit
-        if mode is ComparatorMode.EXPECTED_UTILITY:
-            verdict = eu_compare(self.game.utilities[voter], X, Y)
-        elif mode is ComparatorMode.STOCHASTIC_DOMINANCE:
-            verdict = sd_compare(self.game.prefs[voter], X, Y)
-        elif mode is ComparatorMode.LOCAL_DOMINANCE:
-            verdict = ld_compare(self.game.prefs[voter], X, Y)
-        else:
-            verdict = k_compare(self.game.prefs[voter], X, Y)
-        self._cache[key] = verdict
-        self._cache[(voter, Y, X)] = verdict.flipped()
+        verdict = cache[key] = self._relation(self._voters[voter], X, Y)
+        cache[(voter, Y, X)] = verdict.flipped()
         return verdict
 
     def is_improvement(self, voter: int, old: frozenset, new: frozenset) -> bool:

@@ -39,7 +39,7 @@ from ivote.dynamics import (
     improvement_set,
 )
 from ivote.analysis import (
-    _forward_closure,
+    _reachable,
     build_graph,
     classify_game,
     classify_game_form,
@@ -321,8 +321,8 @@ def _acc05(problems):
         tag = f"trial {trial} seed {seed}"
         graph = build_graph(game, BEST_EU)
         node = graph.node_of(game.truthful_profile())
-        reach = _forward_closure(graph, node)
-        if not is_fip(graph, reach).holds:
+        reach, sub = _reachable(graph, node)
+        if not is_fip(sub).holds:
             problems.append(f"{tag}: best replies cycle from truth")
             continue
         if longest_path_from(graph, node) > n * m:

@@ -61,6 +61,7 @@ from ivote import analysis
 from ivote.analysis import (
     Edge,
     _Skeleton,
+    _reachable,
     _reply_graph,
     _scc_partition,
     longest_path_from,
@@ -115,6 +116,16 @@ def walk_route(graph, route, start):
         assert hops <= graph.num_nodes
     assert graph.out_edges[node] == ()
     return node
+
+
+def assert_closed_walk(graph, cycle, inside):
+    """``cycle`` is a closed walk of ``graph``'s edges through states of
+    ``inside`` only."""
+    assert cycle
+    edges = set(graph.edges)
+    for e, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+        assert e in edges and e.src in inside
+        assert e.dst == nxt.src
 
 
 def selection_subgraph(graph, selection):
@@ -572,23 +583,21 @@ def test_certificates_match_plain_references(form, seed):
                 assert_topological(graph, fip.order, range(graph.num_nodes))
             else:
                 assert fip.order is None
-                cycle = fip.cycle
-                for e, nxt in zip(cycle, cycle[1:] + cycle[:1]):
-                    assert e.dst == nxt.src
-                    assert e in graph.edges
+                assert_closed_walk(graph, fip.cycle, range(graph.num_nodes))
             memo = {}
             for node in range(graph.num_nodes):
                 reachable = naive_closure(graph, node)
                 if naive_has_cycle(graph, [node]):
-                    assert not is_fip(graph, frozenset(reachable)).holds
+                    assert not from_state(graph, graph.profiles[node]).fip
                     with pytest.raises(UnsupportedOperationError):
                         longest_path_from(graph, node)
                     continue
                 expected = naive_longest_path(graph, memo, node)
                 assert longest_path_from(graph, node) == expected
                 assert from_state(graph, graph.profiles[node]).longest == expected
-                local = is_fip(graph, frozenset(reachable))
-                assert_topological(graph, local.order, reachable)
+                nodes, sub = _reachable(graph, node)
+                local = is_fip(sub)
+                assert_topological(graph, [nodes[k] for k in local.order], reachable)
             if fip.holds:
                 assert longest_convergence_path(graph) == max(memo.values())
             weak = is_weak_fip(graph)
@@ -598,6 +607,33 @@ def test_certificates_match_plain_references(form, seed):
             if weak.holds:
                 for node in range(graph.num_nodes):
                     walk_route(graph, weak.route, node)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_forms(), st.integers(0, 10**6))
+def test_per_start_questions_read_the_reachable_subgraph(form, seed):
+    rng = random.Random(seed)
+    prefs = tuple(
+        PreferenceOrder(rng.sample(range(form.m), form.m)) for _ in range(form.n)
+    )
+    game = Game(form, prefs, random_consistent_utilities(prefs, rng))
+    for mode in valid_modes(form):
+        for kind in ReplyKind:
+            graph = build_graph(game, ReplyPolicy(kind, mode))
+            edges = list(graph.edges)
+            for node in range(graph.num_nodes):
+                nodes, sub = _reachable(graph, node)
+                inside = naive_closure(graph, node)
+                assert nodes == sorted(inside)
+                assert_views_match_columns(sub)
+                assert [
+                    Edge(nodes[e.src], e.voter, e.action, nodes[e.dst])
+                    for e in sub.edges
+                ] == [e for e in edges if e.src in inside]
+                res = from_state(graph, graph.profiles[node])
+                assert (res.cycle is None) == res.fip
+                if res.cycle is not None:
+                    assert_closed_walk(graph, res.cycle, inside)
 
 
 def test_is_fip_holds_on_dag():
@@ -854,7 +890,8 @@ def test_from_state_inside_ring_sees_no_way_out():
     assert res.reachable == 6
     assert res.has_ne  # the sink is reachable from the start...
     assert not res.fip
-    assert res.cycle is not None
+    # the ring, in the graph's state ids, though the start reaches 6 of 9
+    assert_closed_walk(graph, res.cycle, {graph.node_of(p) for p in RING_CYCLE})
     assert not res.weak_fip  # ...but not from the ring states downstream
     assert res.restricted_fip is False
     assert res.longest is None
@@ -864,6 +901,9 @@ def test_from_state_restriction_can_escape_a_cycle():
     graph = build_graph(catalog_entry("lex_best_cycle").game, BEST_LEX)
     res = from_state(graph, (1, 2))
     assert not res.fip
+    # state 0 is out of reach, so the cycle's ids differ from the ids it
+    # has in the reachable subgraph
+    assert_closed_walk(graph, res.cycle, naive_closure(graph, graph.node_of((1, 2))))
     assert res.weak_fip
     assert res.restricted_fip is True
 
@@ -945,9 +985,9 @@ def test_classify_game_peels_an_acyclic_graph_once(monkeypatch):
     whole = []
     peel = analysis._peel
 
-    def counting_peel(num_nodes, offsets, heads, alive=None):
-        whole.append(alive is None)
-        return peel(num_nodes, offsets, heads, alive)
+    def counting_peel(num_nodes, offsets, heads):
+        whole.append(num_nodes == 3**3)
+        return peel(num_nodes, offsets, heads)
 
     monkeypatch.setattr(analysis, "_peel", counting_peel)
     report = classify_game(random_game(GameParams(3, 3), 0), DIRECT_LEX)
@@ -1002,6 +1042,16 @@ def test_classify_game_form_utility_sampling_multiplies_games():
     policy = ReplyPolicy(ReplyKind.BETTER, ComparatorMode.EXPECTED_UTILITY)
     report = classify_game_form(form, policy, utility_samples=3)
     assert report.games_checked == 4 * 3
+
+
+def test_exhaustive_sweep_limit_counts_utility_samples():
+    # m=5, n=3 has 120^3 = 1,728,000 profiles: under the limit alone, above
+    # it with six utility draws each
+    form = PluralityForm(default_names(5), (1, 1, 1), tiebreak=TieBreak.RANDOMIZED)
+    policy = ReplyPolicy(ReplyKind.DIRECT, ComparatorMode.EXPECTED_UTILITY)
+    assert 1_728_000 <= analysis._SWEEP_LIMIT < 1_728_000 * 6
+    with pytest.raises(LimitError, match="1728000 preference profiles x 6 utility"):
+        classify_game_form(form, policy, utility_samples=6)
 
 
 def full_sweep(form, policy, **kw):

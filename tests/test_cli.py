@@ -5,9 +5,11 @@ and the exit code. Long outputs are pinned verbatim: the CLI promises
 byte-identical output for a fixed command line and input.
 """
 
+import math
 import shutil
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -306,6 +308,22 @@ def test_classify_node_limit_exit_code(capsys, lbc):
     code, _, err = run(capsys, "classify", lbc, "--node-limit", "8")
     assert code == 3
     assert "above the limit" in err
+
+
+def test_classify_hamming_form_exceeds_the_sweep_limit(capsys, tmp_path):
+    # (15!)^n preference profiles: the sweep refuses before building any
+    # of the 15! orders, which would exhaust memory
+    path = str(tmp_path / "h.game")
+    assert run(capsys, "construct", "hamming", "-o", path)[0] == 0
+    profiles = math.factorial(15) ** load(path).n
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", path)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: exhaustive sweep over {profiles} preference profiles "
+        f"is above the limit of {analysis._SWEEP_LIMIT} games\n"
+    )
 
 
 @pytest.mark.parametrize("limit", ["0", "-3"])

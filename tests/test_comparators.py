@@ -373,6 +373,27 @@ def test_outcome_comparator_is_flip_coherent():
             )
 
 
+def test_outcome_comparator_agrees_with_compare():
+    # every mode, voter and ordered pair of winner sets at m=3, asked twice
+    # so that cached verdicts (both directions) are checked too
+    prefs = tuple(map(PreferenceOrder, ((0, 1, 2), (2, 0, 1), (1, 2, 0))))
+    utilities = tuple(map(UtilityVector, ((5, 3, 0), (1, 0, 4), (1, 7, 4))))
+    names = default_names(3)
+    for mode in ComparatorMode:
+        lex = mode is ComparatorMode.LEX_SINGLETON
+        tiebreak = TieBreak.LEXICOGRAPHIC if lex else TieBreak.RANDOMIZED
+        game = Game(PluralityForm(names, (1, 1, 1), (0, 0, 0), tiebreak), prefs, utilities)
+        comp = OutcomeComparator(game, mode)
+        sets = [s for s in subsets(3) if len(s) == 1 or not lex]
+        for _ in range(2):
+            for v in range(3):
+                for X in sets:
+                    for Y in sets:
+                        assert comp.compare(v, X, Y) is compare(
+                            mode, X, Y, prefs[v], utilities[v]
+                        ), (mode, v, X, Y)
+
+
 def test_outcome_comparator_improvement():
     comp = OutcomeComparator(lex_game(), ComparatorMode.LEX_SINGLETON)
     assert comp.is_improvement(0, {1}, {0})  # voter 1: a preferred to b
