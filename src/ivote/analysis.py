@@ -19,7 +19,10 @@ per action profile, one edge per allowed single-voter move. On top of it:
 Results carry certificates: a concrete edge cycle when acyclicity fails, a
 selection map when a restriction exists, and a trap when none does: states
 where some voter's every move stays inside. Weak and restricted FIP are one
-attractor computation (``_attractor``), linear in the graph. Everything
+attractor computation (``_attractor``), linear in the graph. A graph's
+profiles, a selection and a route are read-only views over int arrays, so
+a classified graph keeps no tuple, dict entry or boxed int for each of its
+nodes or slots. Everything
 here is pure: inputs are immutable, nothing is cached in module state, and
 iteration orders are fixed, so identical inputs give identical reports
 (and calls are safe to run concurrently).
@@ -31,11 +34,12 @@ import itertools
 import os
 import random
 from array import array
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
 from functools import partial
 from math import factorial, lcm, prod
-from operator import eq, getitem, index, sub
+from operator import add, eq, floordiv, getitem, index, mod, ne, sub
 from typing import Optional
 
 from .core import (
@@ -74,6 +78,11 @@ _BLOCK_CACHE_ROWS = 1 << 18
 # sweep in use, m=5 and n=3, checks 1,728,000; past the limit the list of
 # m! orders alone can exhaust memory, as (15!)^n profiles would.
 _SWEEP_LIMIT = 10**7
+# A reply graph holds at most this many edges per profile the node limit
+# allows. Edges grow about as m^3 in the number m of candidates (two voters
+# under better replies: 2,500 profiles and 80,850 edges at m=50), so a
+# graph under the node limit alone can still exhaust memory.
+_EDGES_PER_NODE = 16
 
 
 def default_node_limit() -> int:
@@ -158,6 +167,93 @@ class _OutEdgeView(Sequence):
         return self._offsets == other._offsets
 
 
+class _TupleView(Sequence):
+    """A read-only sequence that indexes, compares, hashes and prints as
+    the tuple of its items; subclasses give ``_item`` of a non-negative
+    index below ``len``."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._item, range(len(self))[i]))
+        return self._item(range(len(self))[i])  # negative ids, IndexError
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _TupleView)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
+class _ProfileView(_TupleView):
+    """``graph.profiles``: node id -> action profile, decoded from the
+    mixed-radix id ``node_of`` encodes, whose digit for voter v is the
+    position of their action, weighted by ``strides[v]``. It iterates as
+    ``itertools.product(*acts)``. A view on a subgraph first maps its ids
+    through ``nodes``, the ids of its nodes in the whole graph."""
+
+    __slots__ = ("_acts", "_strides", "_sizes", "_nodes", "_len")
+
+    def __init__(self, acts, strides, nodes=None):
+        self._acts = acts
+        self._strides = strides
+        self._sizes = tuple(map(len, acts))
+        self._nodes = nodes
+        self._len = prod(self._sizes) if nodes is None else len(nodes)
+
+    def __len__(self):
+        return self._len
+
+    def _profile(self, node):
+        return tuple(
+            a[node // s % k] for a, s, k in zip(self._acts, self._strides, self._sizes)
+        )
+
+    def _item(self, i):
+        return self._profile(i if self._nodes is None else self._nodes[i])
+
+    def __iter__(self):
+        if self._nodes is None:
+            return itertools.product(*self._acts)
+        return map(self._profile, self._nodes)
+
+    def subset(self, nodes) -> "_ProfileView":
+        """The view whose k-th profile is this view's ``nodes[k]``-th."""
+        if self._nodes is not None:
+            nodes = map(self._nodes.__getitem__, nodes)
+        return _ProfileView(self._acts, self._strides, array("i", nodes))
+
+    def decode(self, ids) -> tuple:
+        """The profiles of the nodes ``ids`` (valid, non-negative) as a
+        tuple, in bulk. Node id ``head * size + tail`` joins the ``head``-th
+        profile of the first k voters to the ``tail``-th of the others, each
+        numbered in product order, so two small tables decode every id."""
+        if self._nodes is not None:
+            ids = map(self._nodes.__getitem__, ids)
+        ids = array("i", ids)
+        acts, sizes = self._acts, self._sizes
+        k = min(
+            range(len(acts) + 1), key=lambda k: max(prod(sizes[:k]), prod(sizes[k:]))
+        )
+        size = prod(sizes[k:])
+        head = tuple(itertools.product(*acts[:k]))
+        tail = tuple(itertools.product(*acts[k:]))
+        repeat = itertools.repeat
+        return tuple(
+            map(
+                add,
+                map(head.__getitem__, map(floordiv, ids, repeat(size))),
+                map(tail.__getitem__, map(mod, ids, repeat(size))),
+            )
+        )
+
+
 class BetterReplyGraph:
     """The reply graph of a game under a policy.
 
@@ -167,7 +263,8 @@ class BetterReplyGraph:
     node ``dst[eid]`` by playing ``action[eid]``, and node i's edges are
     the ids ``offsets[i]`` to ``offsets[i + 1]``, ordered by voter and then
     by action position. ``edges`` and ``out_edges`` are read-only views
-    over the columns. Immutable once built.
+    over the columns, and ``profiles`` decodes node ids (``_ProfileView``).
+    Immutable once built.
     """
 
     __slots__ = (
@@ -198,7 +295,7 @@ class BetterReplyGraph:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.profiles)
+        return len(self.offsets) - 1
 
     @property
     def num_edges(self) -> int:
@@ -244,42 +341,50 @@ def build_graph(
 class _Skeleton:
     """The preference-free part of every reply graph on one form.
 
-    ``profiles`` lists the nodes; ``outcome_ids[i]`` indexes node i's
-    outcome in ``sets``, which holds one frozenset per distinct outcome,
-    and ``outcomes`` is the per-node tuple of those shared objects.
-    ``moves[v][k]`` lists, for voter v playing their k-th action, every
-    other action as ``(action, node offset, named candidate or None)``;
-    ``strides[v]`` is how far one step in voter v's action list moves the
-    node index. Raises LimitError beyond ``node_limit`` (the environment
-    default when None).
+    ``profiles`` is the view (``_ProfileView``) that decodes node ids to
+    profiles; ``outcome_ids[i]`` indexes node i's outcome in ``sets``,
+    which holds one frozenset per distinct outcome, and ``outcomes`` is
+    the per-node tuple of those shared objects. ``moves[v][k]`` lists, for
+    voter v playing their k-th action, every other action as ``(action,
+    node offset, named candidate or None)``; ``strides[v]`` is how far one
+    step in voter v's action list moves the node index. Raises LimitError
+    beyond ``node_limit`` (the environment default when None); a graph on
+    the form may hold ``edge_limit`` edges, ``_EDGES_PER_NODE`` per node
+    of that limit.
     """
 
     __slots__ = (
-        "profiles", "outcomes", "outcome_ids", "sets", "sizes", "strides", "moves"
+        "profiles", "outcomes", "outcome_ids", "sets", "sizes", "strides", "moves",
+        "node_limit", "edge_limit",
     )
 
     def __init__(self, form, node_limit: Optional[int]):
         node_limit = _node_limit(node_limit)
         n = form.n
-        acts = [form.actions(v) for v in range(n)]
+        acts = tuple(form.actions(v) for v in range(n))
         sizes = tuple(len(row) for row in acts)
         total = prod(sizes)
         if total > node_limit:
             raise LimitError(
                 f"state space has {total} profiles, above the limit of {node_limit}"
             )
-        profiles = tuple(itertools.product(*acts))
         interned = {}
-        ids = tuple(
-            interned.setdefault(form.outcome(p), len(interned)) for p in profiles
+        ids = array(
+            "i",
+            (
+                interned.setdefault(form.outcome(p), len(interned))
+                for p in itertools.product(*acts)
+            ),
         )
         sets = tuple(interned)
         strides = [1] * n
         for v in range(n - 2, -1, -1):
             strides[v] = strides[v + 1] * sizes[v + 1]
-        self.profiles = profiles
-        self.outcomes = tuple(sets[x] for x in ids)
+        self.profiles = _ProfileView(acts, tuple(strides))
+        self.outcomes = tuple(map(sets.__getitem__, ids))
         self.outcome_ids = ids
+        self.node_limit = node_limit
+        self.edge_limit = _EDGES_PER_NODE * node_limit
         self.sets = sets
         self.sizes = sizes
         self.strides = tuple(strides)
@@ -317,6 +422,7 @@ def _reply_graph(skel: _Skeleton, game: Game, policy: ReplyPolicy) -> BetterRepl
         return better
 
     kind = policy.kind
+    edge_limit = skel.edge_limit
     voter_beats = [partial(beats, v) for v in range(game.n)]
     offsets = array("i", [0])
     src, voter, action, dst = (array("i") for _ in range(4))
@@ -341,9 +447,19 @@ def _reply_graph(skel: _Skeleton, game: Game, policy: ReplyPolicy) -> BetterRepl
                     voter.append(v)
                     action.append(a)
                     dst.append(j)
-        offsets.append(len(dst))
+        edges = len(dst)
+        offsets.append(edges)
+        if edges > edge_limit:
+            raise _edge_limit_error(skel, edges)
     return BetterReplyGraph(
         game, policy, skel.profiles, outcomes, offsets, src, voter, action, dst
+    )
+
+
+def _edge_limit_error(skel: _Skeleton, edges: int) -> LimitError:
+    return LimitError(
+        f"reply graph reached {edges} edges, above the limit of {skel.edge_limit} "
+        f"({_EDGES_PER_NODE} x the node limit of {skel.node_limit})"
     )
 
 
@@ -381,6 +497,8 @@ def _assemble(
     rows, starts = zip(*blocks)
     quads = array("i")
     quads.frombytes(b"".join(_flatten(zip(*rows))))
+    if len(quads) // 4 > skel.edge_limit:
+        raise _edge_limit_error(skel, len(quads) // 4)
     return BetterReplyGraph(
         game, policy, skel.profiles, skel.outcomes,
         array("i", map(sum, zip(*starts))),
@@ -404,7 +522,7 @@ def nash_equilibria(
 
     mode = comparator if comparator is not None else default_comparator(game)
     graph = build_graph(game, ReplyPolicy(ReplyKind.BETTER, mode), node_limit)
-    return tuple(graph.profiles[i] for i in sinks(graph))
+    return graph.profiles.decode(sinks(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +627,35 @@ class WeakFipResult:
     """Reach-a-sink verdict.
 
     When it holds, ``route[node]`` is an edge id stepping toward a sink
-    (None at sinks), a memoryless scheduler witnessing convergence. When it
+    (None at sinks), a memoryless scheduler witnessing convergence; it is a
+    read-only sequence over one array (``_RouteView``). When it
     fails, ``unreachable`` lists the nodes from which no sink is reachable.
     """
 
     holds: bool
-    route: Optional[tuple] = None
+    route: Optional[Sequence] = None
     unreachable: tuple = ()
+
+
+class _RouteView(_TupleView):
+    """``WeakFipResult.route``: node -> the edge id that settled it in the
+    attractor's ``settled_by`` array, or None where that holds -1 (sinks)."""
+
+    __slots__ = ("_settled_by",)
+
+    def __init__(self, settled_by):
+        self._settled_by = settled_by
+
+    def __len__(self):
+        return len(self._settled_by)
+
+    def _item(self, node):
+        e = self._settled_by[node]
+        return None if e == -1 else e
+
+    def __iter__(self):
+        # dict.get(e, e): None for -1, e itself otherwise
+        return map({-1: None}.get, self._settled_by, self._settled_by)
 
 
 def _attractor(num_nodes: int, heads, slot, slot_node, pending, seeds) -> tuple:
@@ -563,7 +703,7 @@ def is_weak_fip(graph: BetterReplyGraph) -> WeakFipResult:
     order, route = _attractor(n, graph.dst, graph.src, range(n), [1] * n, sinks(graph))
     if len(order) < n:
         return WeakFipResult(False, None, tuple(sorted(set(range(n)).difference(order))))
-    return WeakFipResult(True, tuple(None if e == -1 else e for e in route))
+    return WeakFipResult(True, _RouteView(route))
 
 
 # restricted acyclicity ------------------------------------------------------
@@ -574,7 +714,8 @@ class RestrictedFipResult:
     """Existence of a per-(state, voter) action restriction with no cycles.
 
     ``selection`` maps every (node, voter) slot to its chosen edge id when
-    the answer is yes. Otherwise ``trap`` lists, ascending, the states
+    the answer is yes, as a read-only mapping over one array
+    (``_SelectionView``). Otherwise ``trap`` lists, ascending, the states
     outside the slot attractor (see ``is_restricted_fip``): at each of
     them some voter's every allowed move stays inside the trap, so every
     restriction leaves a cycle reachable from each trap state. When some
@@ -584,7 +725,7 @@ class RestrictedFipResult:
     """
 
     holds: bool
-    selection: Optional[dict] = None
+    selection: Optional[Mapping] = None
     forced_cycle: Optional[tuple] = None
     trap: Optional[tuple] = None
     branches: int = 0
@@ -603,6 +744,66 @@ class RestrictedFipResult:
             f"trap of {len(self.trap)} states: every restriction cycles from each "
             f"of them (at each, some voter's every allowed move stays in the trap)"
         )
+
+
+class _SelectionView(Mapping):
+    """``RestrictedFipResult.selection``: (node, voter) slot -> the id of
+    its selected edge. It holds one ascending array of edge ids, one per
+    slot; the key of edge e is ``(src[e], voter[e])``, so no key is stored,
+    and keys ascend with the ids since a graph's edges are ordered by node
+    and then by voter."""
+
+    __slots__ = ("_src", "_voter", "_eids")
+
+    def __init__(self, graph, eids):
+        self._src = graph.src
+        self._voter = graph.voter
+        self._eids = eids
+
+    def __len__(self):
+        return len(self._eids)
+
+    def __iter__(self):
+        eids = self._eids
+        return zip(
+            map(self._src.__getitem__, eids), map(self._voter.__getitem__, eids)
+        )
+
+    def _key(self, eid):
+        return (self._src[eid], self._voter[eid])
+
+    def __getitem__(self, key):
+        eids = self._eids
+        try:
+            k = bisect_left(eids, key, key=self._key)
+        except TypeError:  # not a pair of ints: no slot has it
+            raise KeyError(key) from None
+        if k < len(eids) and self._key(eids[k]) == key:
+            return eids[k]
+        raise KeyError(key)
+
+    def items(self):
+        return _SelectionItems(self)
+
+    def values(self):
+        return _SelectionValues(self)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _SelectionItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._eids)
+
+
+class _SelectionValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._eids)
 
 
 def _scc_partition(num_nodes: int, successors) -> list:
@@ -671,46 +872,59 @@ def is_restricted_fip(graph: BetterReplyGraph) -> RestrictedFipResult:
     return _restriction(graph, is_fip(graph).holds)
 
 
-def _slot_attractor(num_nodes: int, heads, first: dict, seeds) -> tuple:
-    """``_attractor`` on the slots of a graph's edges, which lead into
-    ``heads``: ``first`` maps each (node, voter) slot to the id of its
-    first edge, in id order, and ``seeds`` are the sinks. Slot k is the
-    k-th of ``first``."""
-    starts = list(first.values())
-    lengths = map(sub, [*starts[1:], len(heads)], starts)
-    slot = array("i", _flatten(map(itertools.repeat, range(len(starts)), lengths)))
-    slot_node = [i for i, _ in first]
-    pending = [0] * num_nodes
+def _slot_opens(graph: BetterReplyGraph):
+    """Per edge, in id order, whether it opens a (node, voter) slot. A
+    slot's edges are one run of ids, so an edge opens one iff its (src,
+    voter) pair differs from the edge before's. The two 4-byte columns are
+    laid side by side as one 8-byte key per edge, so one C-level pass
+    compares them."""
+    num_edges = graph.num_edges
+    pairs = array("i", bytes(8 * num_edges))
+    pairs[0::2] = graph.src
+    pairs[1::2] = graph.voter
+    keys = memoryview(pairs).cast("B").cast("q")
+    return itertools.chain((True,) if num_edges else (), map(ne, keys[1:], keys))
+
+
+def _slot_starts(graph: BetterReplyGraph) -> array:
+    """The first edge id of every (node, voter) slot, ascending."""
+    return array("i", itertools.compress(range(graph.num_edges), _slot_opens(graph)))
+
+
+def _slot_attractor(graph: BetterReplyGraph, starts, seeds) -> tuple:
+    """``_attractor`` on the (node, voter) slots of ``graph``, where slot k
+    holds the edges from ``starts[k]`` (see ``_slot_starts``) to the next
+    slot's start, and ``seeds`` are the sinks."""
+    # edge e's slot is the number of slots opened up to e, less one
+    slot = array("i", itertools.accumulate(_slot_opens(graph), initial=-1))
+    del slot[0]
+    slot_node = [*map(graph.src.__getitem__, starts)]
+    pending = [0] * graph.num_nodes
     for i in slot_node:
         pending[i] += 1
-    return _attractor(num_nodes, heads, slot, slot_node, pending, seeds)
+    return _attractor(graph.num_nodes, graph.dst, slot, slot_node, pending, seeds)
 
 
 def _restriction(graph: BetterReplyGraph, acyclic: bool) -> RestrictedFipResult:
     """``is_restricted_fip`` for a caller that already knows whether the
     whole graph is ``acyclic``."""
-    # the first edge of every (node, voter) slot, in edge-id order; a slot's
-    # edges are one run of ids, so these are also the runs' boundaries
-    first = {}
-    for eid, key in enumerate(zip(graph.src, graph.voter)):
-        first.setdefault(key, eid)
+    first = _slot_starts(graph)
     if acyclic:
-        return RestrictedFipResult(True, first)
+        # any selection of an acyclic graph is acyclic: each slot's first edge
+        return RestrictedFipResult(True, _SelectionView(graph, first))
     n = graph.num_nodes
-    order, settled_by = _slot_attractor(n, graph.dst, first, sinks(graph))
+    order, settled_by = _slot_attractor(graph, first, sinks(graph))
     if len(order) == n:
-        # each slot's settling edge, in place: a second dict of every slot
-        # would raise the peak
-        for key, eid in zip(first, settled_by):
-            first[key] = eid
-        return RestrictedFipResult(True, first)
+        # each slot's settling edge: one per slot, so ascending with the slots
+        return RestrictedFipResult(True, _SelectionView(graph, settled_by))
     trap = tuple(sorted(set(range(n)).difference(order)))
     # forced moves are in every restriction, so a cycle among them is the
     # plainer certificate; it lies in the trap, as its first node to join S
     # would have needed its one move to lead into S
-    bounds = [*first.values(), graph.num_edges]
-    forced = array("i", (lo for lo, hi in zip(bounds, bounds[1:]) if hi - lo == 1))
-    del bounds  # one entry per slot: not kept alive through the peel
+    lengths = map(sub, itertools.chain(first[1:], (graph.num_edges,)), first)
+    single = map(eq, lengths, itertools.repeat(1))
+    forced = array("i", itertools.compress(first, single))
+    del first  # one entry per slot: not kept alive through the peel
     # the forced moves as a subgraph: node i's are forced[starts[i]:starts[i + 1]]
     count = [0] * (n + 1)
     for eid in forced:
@@ -774,7 +988,7 @@ def _reachable(graph: BetterReplyGraph, node: int) -> tuple:
     sub = BetterReplyGraph(
         graph.game,
         graph.policy,
-        tuple(map(graph.profiles.__getitem__, nodes)),
+        graph.profiles.subset(nodes),
         tuple(map(graph.outcomes.__getitem__, nodes)),
         array("i", itertools.accumulate(degrees, initial=0)),
         array("i", _flatten(map(itertools.repeat, range(len(nodes)), degrees))),
@@ -912,7 +1126,7 @@ def classify_game(
         graph=graph,
         num_nodes=graph.num_nodes,
         num_edges=graph.num_edges,
-        equilibria=tuple(graph.profiles[i] for i in sink_ids),
+        equilibria=graph.profiles.decode(sink_ids),
         has_ne=bool(sink_ids),
         fip=fip_verdict,
         weak_fip=weak,
@@ -1001,6 +1215,20 @@ def _voter_classes(form, skel: _Skeleton) -> list:
     return [tuple(cls) for cls in classes if len(cls) > 1]
 
 
+def _preference_profiles(m: int, n: int):
+    """Every profile of ``n`` preference orders over ``m`` candidates, in
+    the order of ``itertools.product(orders, repeat=n)`` over the m!
+    orders in permutation order. Voter 1's orders are made one at a time,
+    and the other voters share one tuple of them, so one voter holds no
+    list of the m! orders."""
+
+    def orders():
+        return map(PreferenceOrder, itertools.permutations(range(m)))
+
+    rest = (tuple(orders()),) * (n - 1) if n > 1 else ()
+    return _flatten(itertools.product((first,), *rest) for first in orders())
+
+
 def classify_game_form(
     form,
     policy: ReplyPolicy,
@@ -1051,8 +1279,7 @@ def classify_game_form(
                 f"exhaustive sweep over {profiles} preference profiles{draws} "
                 f"is above the limit of {_SWEEP_LIMIT} games"
             )
-        orders = [PreferenceOrder(p) for p in itertools.permutations(range(m))]
-        pref_iter = itertools.product(orders, repeat=n)
+        pref_iter = _preference_profiles(m, n)
         scope = f"exhaustive over {profiles} preference profiles"
     else:
         pref_iter = (
@@ -1112,7 +1339,7 @@ def classify_game_form(
             if None in cached:
                 graph = _reply_graph(skel, game, policy)
                 reply_passes += 1
-                if len(blocks) * len(skel.profiles) < _BLOCK_CACHE_ROWS:
+                if len(blocks) * len(skel.outcomes) < _BLOCK_CACHE_ROWS:
                     for key, block in zip(keys, _voter_blocks(graph)):
                         blocks.setdefault(key, block)
             else:

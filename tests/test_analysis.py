@@ -3,7 +3,10 @@
 import dataclasses
 import gc
 import itertools
+import operator
 import random
+import time
+import tracemalloc
 from array import array
 from fractions import Fraction
 from math import factorial, prod
@@ -61,9 +64,14 @@ from ivote import analysis
 from ivote.analysis import (
     Edge,
     _Skeleton,
+    _assemble,
+    _attractor,
+    _preference_profiles,
     _reachable,
     _reply_graph,
+    _restriction,
     _scc_partition,
+    _voter_blocks,
     longest_path_from,
 )
 from ivote.comparators import OutcomeComparator, SetComparison, eu_compare
@@ -154,6 +162,82 @@ def assert_valid_selection(graph, selection):
     of ``graph``, and the picked edges form an acyclic graph."""
     assert set(selection) == {(e.src, e.voter) for e in graph.edges}
     assert is_fip(selection_subgraph(graph, selection)).holds
+
+
+def reference_selection(graph, acyclic):
+    """The restriction certificate as a plain dict, kept apart from the
+    library's array-backed view (``RestrictedFipResult.selection``) as its
+    oracle: each (node, voter) slot's first edge when the graph is
+    ``acyclic``, else the edge that settled the slot in the slot attractor
+    of the sinks; None when some node stays outside that attractor."""
+    first = {}
+    for eid, key in enumerate(zip(graph.src, graph.voter)):
+        first.setdefault(key, eid)
+    if acyclic:
+        return first
+    starts = list(first.values())
+    lengths = map(operator.sub, [*starts[1:], graph.num_edges], starts)
+    slot = [k for k, length in enumerate(lengths) for _ in range(length)]
+    slot_node = [i for i, _ in first]
+    pending = [0] * graph.num_nodes
+    for i in slot_node:
+        pending[i] += 1
+    order, settled_by = _attractor(
+        graph.num_nodes, graph.dst, slot, slot_node, pending, sinks(graph)
+    )
+    if len(order) < graph.num_nodes:
+        return None
+    return dict(zip(first, settled_by))
+
+
+def reference_route(graph):
+    """The weak-FIP route as a plain tuple: per node the edge that brought
+    it into the attractor of the sinks, None at sinks; None when some node
+    stays outside that attractor."""
+    n = graph.num_nodes
+    order, settled_by = _attractor(
+        n, graph.dst, graph.src, range(n), [1] * n, sinks(graph)
+    )
+    if len(order) < n:
+        return None
+    return tuple(None if e == -1 else e for e in settled_by)
+
+
+def assert_acts_as_tuple(view, want):
+    """``view`` answers as the tuple ``want`` does: length, indexing with
+    negative ids and slices, IndexError past either end, iteration, ==
+    both ways, hash and repr."""
+    assert len(view) == len(want)
+    assert list(view) == list(want)
+    assert [view[i] for i in range(len(want))] == list(want)
+    assert [view[-i] for i in range(1, len(want) + 1)] == list(want[::-1])
+    assert view[1:3] == want[1:3] and view[::-2] == want[::-2]
+    for bad in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+    assert view == want and want == view and not view != want
+    assert view != want + (None,) and view != list(want)
+    assert hash(view) == hash(want)
+    assert repr(view) == repr(want)
+
+
+def assert_acts_as_dict(view, want):
+    """``view`` answers as the dict ``want`` does: items, keys and values
+    in order, lookups, misses, ==, repr, and no hash."""
+    assert len(view) == len(want)
+    assert list(view.items()) == list(want.items())
+    assert list(view) == list(want) and list(view.keys()) == list(want.keys())
+    assert list(view.values()) == list(want.values())
+    for key, eid in want.items():
+        assert view[key] == eid and key in view and (key, eid) in view.items()
+    for missing in ((-1, 0), (10**6, 0), (0, 10**6), "slot", (0,)):
+        assert missing not in view and view.get(missing) is None
+        with pytest.raises(KeyError):
+            view[missing]
+    assert view == want and want == view and not view != want
+    assert repr(view) == repr(want)
+    with pytest.raises(TypeError):
+        hash(view)
 
 
 def assert_valid_trap(graph, trap):
@@ -271,6 +355,7 @@ def assert_views_match_columns(graph):
     ]
     off = graph.offsets
     assert len(off) == graph.num_nodes + 1 == len(graph.out_edges) + 1
+    assert len(graph.profiles) == len(graph.outcomes) == graph.num_nodes
     assert off[0] == 0 and off[-1] == graph.num_edges
     assert all(a <= b for a, b in zip(off, off[1:]))
     by_src = [[] for _ in range(graph.num_nodes)]
@@ -439,6 +524,30 @@ def test_reply_graph_compares_each_outcome_pair_once():
                 assert calls and len(calls) == len(set(calls)), (kind, mode)
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_forms(), st.integers(0, 10**6))
+def test_profiles_view_decodes_node_ids(form, seed):
+    rng = random.Random(seed)
+    prefs = tuple(PreferenceOrder(rng.sample(range(form.m), form.m))
+                  for _ in range(form.n))
+    game = Game(form, prefs, random_consistent_utilities(prefs, rng))
+    graph = build_graph(game, ReplyPolicy(ReplyKind.BETTER, valid_modes(form)[0]))
+    want = tuple(itertools.product(*(form.actions(v) for v in range(form.n))))
+    profiles = graph.profiles
+    assert_acts_as_tuple(profiles, want)
+    assert graph.num_nodes == len(want)
+    for p in want:
+        assert profiles[graph.node_of(p)] == p
+    ids = [rng.randrange(len(want)) for _ in range(5)]
+    assert profiles.decode(ids) == tuple(want[i] for i in ids)
+    assert profiles.decode(()) == ()
+    for node in (0, len(want) - 1, rng.randrange(len(want))):
+        nodes, sub = _reachable(graph, node)
+        assert_acts_as_tuple(sub.profiles, tuple(want[i] for i in nodes))
+        k = rng.randrange(len(nodes))
+        assert sub.profiles.decode([k, 0]) == (want[nodes[k]], want[nodes[0]])
+
+
 def test_node_of_rejects_malformed_profiles():
     form = restricted_action_defining_plurality()
     prefs = tuple(PreferenceOrder((0, 1, 2, 3)) for _ in range(3))
@@ -476,6 +585,47 @@ def test_node_limit_environment_override(monkeypatch):
         monkeypatch.setenv("IVOTE_NODE_LIMIT", bad)
         with pytest.raises(ConfigurationError):
             default_node_limit()
+
+
+def opposite_rankings_game(m):
+    """Two unweighted voters with opposite rankings of m candidates: m^2
+    states, and under better replies about m^3 / 3 moves."""
+    form = PluralityForm(tuple(f"c{i}" for i in range(m)), (1, 1))
+    ranking = tuple(range(m))
+    return Game(form, (PreferenceOrder(ranking), PreferenceOrder(ranking[::-1])))
+
+
+def test_edge_limit_follows_the_node_limit():
+    # 2,500 states and 80,850 moves: under a node limit of 2,500 the edge
+    # limit is 16 x 2,500 = 40,000
+    game = opposite_rankings_game(50)
+    message = r"above the limit of 40000 \(16 x the node limit of 2500\)"
+    with pytest.raises(LimitError, match=r"reply graph reached \d+ edges, " + message):
+        build_graph(game, BETTER_LEX, node_limit=2500)
+    graph = build_graph(game, BETTER_LEX, node_limit=5100)
+    assert (graph.num_nodes, graph.num_edges) == (2500, 80850)
+    # a form sweep assembles graphs from voter blocks: the same limit holds
+    blocks = _voter_blocks(graph)
+    with pytest.raises(LimitError, match=r"reply graph reached 80850 edges, " + message):
+        _assemble(_Skeleton(game.form, 2500), game, BETTER_LEX, blocks)
+    assembled = _assemble(_Skeleton(game.form, 5100), game, BETTER_LEX, blocks)
+    assert assembled.edges == graph.edges
+
+
+def test_sweep_profiles_stream_the_first_voters_orders():
+    for m in range(1, 5):
+        orders = [PreferenceOrder(p) for p in itertools.permutations(range(m))]
+        for n in range(1, 4):
+            assert list(_preference_profiles(m, n)) == list(
+                itertools.product(orders, repeat=n)
+            )
+    # one voter over ten candidates: 3,628,800 orders, made as they are used
+    start = time.perf_counter()
+    first = list(itertools.islice(_preference_profiles(10, 1), 3))
+    assert time.perf_counter() - start < 0.5
+    assert [p[0].ranking for p in first] == [
+        tuple(range(10)), (0, 1, 2, 3, 4, 5, 6, 7, 9, 8), (0, 1, 2, 3, 4, 5, 6, 8, 7, 9)
+    ]
 
 
 def test_sinks_are_exactly_the_equilibria():
@@ -703,6 +853,55 @@ def test_restricted_fip_decides_the_4096_state_game():
     assert verdict.holds
     assert len(verdict.selection) == 8070
     assert_valid_selection(graph, verdict.selection)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_forms(), st.integers(0, 10**6))
+def test_certificate_views_match_the_plain_references(form, seed):
+    rng = random.Random(seed)
+    prefs = tuple(PreferenceOrder(rng.sample(range(form.m), form.m))
+                  for _ in range(form.n))
+    game = Game(form, prefs, random_consistent_utilities(prefs, rng))
+    for mode in valid_modes(form):
+        for kind in ReplyKind:
+            graph = build_graph(game, ReplyPolicy(kind, mode))
+            acyclic = is_fip(graph).holds
+            verdict = is_restricted_fip(graph)
+            want = reference_selection(graph, acyclic)
+            assert verdict.holds == (want is not None)
+            if want is None:
+                assert verdict.selection is None
+            else:
+                assert_acts_as_dict(verdict.selection, want)
+                if not acyclic:
+                    # the first edges are a certificate only without cycles
+                    assert reference_selection(graph, True) == dict(
+                        _restriction(graph, True).selection.items()
+                    )
+            weak = is_weak_fip(graph)
+            route = reference_route(graph)
+            assert weak.holds == (route is not None)
+            if route is None:
+                assert weak.route is None
+            else:
+                assert_acts_as_tuple(weak.route, route)
+
+
+def test_restriction_keeps_few_bytes_per_slot():
+    # the selection is one array of edge ids over the graph's own columns;
+    # a dict keyed by (node, voter) tuples kept 142 bytes a slot
+    graph = build_graph(random_game(GameParams(4, 6), 7), DIRECT_LEX)
+    acyclic = is_fip(graph).holds
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verdict = _restriction(graph, acyclic)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and len(verdict.selection) > 1000
+    assert kept < 16 * len(verdict.selection)
 
 
 def test_from_state_decides_a_start_in_the_4096_state_game():

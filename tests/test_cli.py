@@ -28,9 +28,11 @@ from ivote.constructions import (
 )
 from ivote.core import (
     ConfigurationError,
+    Game,
     GameSpecError,
     LimitError,
     PluralityForm,
+    PreferenceOrder,
     ScheduleError,
     TabularForm,
     TieBreak,
@@ -308,6 +310,22 @@ def test_classify_node_limit_exit_code(capsys, lbc):
     code, _, err = run(capsys, "classify", lbc, "--node-limit", "8")
     assert code == 3
     assert "above the limit" in err
+
+
+def test_classify_edge_limit_exit_code(capsys, tmp_path):
+    # 2,500 states and 80,850 moves: above 16 moves per state of the limit
+    m = 50
+    form = PluralityForm(tuple(f"c{i}" for i in range(m)), (1, 1))
+    ranking = tuple(range(m))
+    path = str(tmp_path / "opposite.game")
+    dump(Game(form, (PreferenceOrder(ranking), PreferenceOrder(ranking[::-1]))), path)
+    code, out, err = run(capsys, "classify", path, "--node-limit", "2500")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: reply graph reached ")
+    assert err.endswith(
+        " edges, above the limit of 40000 (16 x the node limit of 2500)\n"
+    )
+    assert err.count("\n") == 1
 
 
 def test_classify_hamming_form_exceeds_the_sweep_limit(capsys, tmp_path):
