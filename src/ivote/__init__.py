@@ -49,7 +49,6 @@ from .comparators import (
     expected_utility,
     k_compare,
     ld_compare,
-    ld_compare_by_orders,
     match_dominates,
     sd_compare,
     single_vote_adjacent,

@@ -19,7 +19,9 @@ per action profile, one edge per allowed single-voter move. On top of it:
 Results carry certificates: a concrete edge cycle when acyclicity fails, a
 selection map when a restriction exists, and a trap when none does: states
 where some voter's every move stays inside. Weak and restricted FIP are one
-attractor computation (``_attractor``), linear in the graph. A graph's
+attractor computation (``_attractor``), linear in the graph. The form
+sweep, the scan and the catalog's facts ask one property check
+(``_violations``) which of ``PROPERTIES`` a graph fails. A graph's
 profiles, a selection and a route are read-only views over int arrays, so
 a classified graph keeps no tuple, dict entry or boxed int for each of its
 nodes or slots. Everything
@@ -869,7 +871,8 @@ def is_restricted_fip(graph: BetterReplyGraph) -> RestrictedFipResult:
     the trap (Kukushkin's restricted acyclicity as the attractor of a
     reachability game, computed in linear time).
     """
-    return _restriction(graph, is_fip(graph).holds)
+    acyclic = len(_peel(graph.num_nodes, graph.offsets, graph.dst)) == graph.num_nodes
+    return _restriction(graph, acyclic)
 
 
 def _slot_opens(graph: BetterReplyGraph):
@@ -1070,6 +1073,47 @@ def _from_state(graph: BetterReplyGraph, start: Profile, trap) -> FromStateResul
 
 # ---------------------------------------------------------------------------
 # bundled classification
+
+# the four properties every report answers, in the order reports print them
+PROPERTIES = ("has_ne", "fip", "weak_fip", "restricted_fip")
+
+
+def _violations(graph: BetterReplyGraph, props) -> dict:
+    """The properties among ``props`` (names from ``PROPERTIES``) that
+    ``graph`` fails, each mapped to its printed witness, in table order.
+
+    An acyclic graph holds all four (FIP => restricted FIP => weak FIP =>
+    an equilibrium exists, and every graph has a node), so one peel
+    answers every property but has_ne there, and only a cyclic graph
+    builds witnesses, and only those asked for.
+    """
+    out = {}
+    if "has_ne" in props and not sinks(graph):
+        out["has_ne"] = "no equilibrium profile"
+    if all(p == "has_ne" for p in props):
+        return out
+    order = _peel(graph.num_nodes, graph.offsets, graph.dst)
+    if len(order) == graph.num_nodes:
+        return out
+    form = graph.game.form
+
+    def at(node):
+        return format_profile(form, graph.profiles[node])
+
+    if "fip" in props:
+        cycle = _extract_cycle(
+            graph, graph.offsets, graph.dst, range(graph.num_edges), order
+        )
+        out["fip"] = "cycle through " + ", ".join(at(e.src) for e in cycle)
+    if "weak_fip" in props:
+        weak = is_weak_fip(graph)
+        if not weak.holds:
+            out["weak_fip"] = "no path to a sink from " + at(weak.unreachable[0])
+    if "restricted_fip" in props:
+        restricted = _restriction(graph, False)
+        if not restricted.holds:
+            out["restricted_fip"] = restricted.certificate()
+    return out
 
 
 def hierarchy_holds(has_ne: bool, fip: bool, weak_fip: bool, restricted_fip: bool) -> bool:
@@ -1287,14 +1331,8 @@ def classify_game_form(
             for _ in range(sample)
         )
         scope = f"{sample} sampled preference profiles (seed {seed})"
-    sample_utilities = random_consistent_utilities
-
-    state = {
-        "has_ne": FormProperty(True),
-        "fip": FormProperty(True),
-        "weak_fip": FormProperty(True),
-        "restricted_fip": FormProperty(True),
-    }
+    state = dict.fromkeys(PROPERTIES, FormProperty(True))
+    holding = PROPERTIES
     games_checked = graphs_built = reply_passes = 0
     skel = _Skeleton(form, node_limit)
     # (voter, key of the voter's preference over outcome sets) -> the
@@ -1314,23 +1352,16 @@ def classify_game_form(
             pair for cls in _voter_classes(form, skel) for pair in zip(cls, cls[1:])
         ]
 
-    def note(prop, prefs, utilities, witness):
-        if state[prop].holds:
-            state[prop] = FormProperty(
-                False,
-                tuple(p.ranking for p in prefs),
-                tuple(u.values for u in utilities) if utilities else None,
-                witness,
-            )
-
     for prefs in pref_iter:
         if chains and any(prefs[u].ranking > prefs[v].ranking for u, v in chains):
             games_checked += 1  # the leader of its orbit came earlier
             continue
+        # drawn one per game: nothing else draws from rng in between, so
+        # the stream is the same as drawing them all up front
         variants = (
-            [sample_utilities(prefs, rng) for _ in range(utility_samples)]
+            (random_consistent_utilities(prefs, rng) for _ in range(utility_samples))
             if needs_utilities
-            else [None]
+            else (None,)
         )
         for utilities in variants:
             game = Game(form, prefs, utilities)
@@ -1346,30 +1377,17 @@ def classify_game_form(
                 graph = _assemble(skel, game, policy, cached)
             games_checked += 1
             graphs_built += 1
-            sink_ids = sinks(graph)
-            if not sink_ids:
-                note("has_ne", prefs, utilities, "no equilibrium profile")
-            fip_verdict = is_fip(graph)
-            if not fip_verdict.holds:
-                cyc = ", ".join(
-                    format_profile(form, graph.profiles[e.src])
-                    for e in fip_verdict.cycle
-                )
-                note("fip", prefs, utilities, f"cycle through {cyc}")
-                weak = is_weak_fip(graph)
-                if not weak.holds:
-                    bad = format_profile(form, graph.profiles[weak.unreachable[0]])
-                    note("weak_fip", prefs, utilities, f"no path to a sink from {bad}")
-                if state["restricted_fip"].holds:
-                    restricted = _restriction(graph, False)
-                    if not restricted.holds:
-                        note(
-                            "restricted_fip",
-                            prefs,
-                            utilities,
-                            restricted.certificate(),
-                        )
-        if not any(p.holds for p in state.values()):
+            failed = _violations(graph, holding)
+            if failed:
+                for prop, witness in failed.items():
+                    state[prop] = FormProperty(
+                        False,
+                        tuple(p.ranking for p in prefs),
+                        tuple(u.values for u in utilities) if utilities else None,
+                        witness,
+                    )
+                holding = tuple(p for p in holding if p not in failed)
+        if not holding:
             break
 
     return FormReport(
@@ -1379,10 +1397,7 @@ def classify_game_form(
         games_checked=games_checked,
         graphs_built=graphs_built,
         reply_passes=reply_passes,
-        has_ne=state["has_ne"],
-        fip=state["fip"],
-        weak_fip=state["weak_fip"],
-        restricted_fip=state["restricted_fip"],
+        **state,
     )
 
 
@@ -1472,11 +1487,11 @@ def conjecture_scan(
 ) -> ScanReport:
     """Random search for counterexamples on weighted plurality games.
 
-    ``prop`` is one of has_ne / fip / weak_fip / restricted_fip, checked on
-    the reply graph of each sampled game. A violation report is evidence,
-    never a theorem; an empty one even less so.
+    ``prop`` is one of ``PROPERTIES``, checked on the reply graph of each
+    sampled game. A violation report is evidence, never a theorem; an
+    empty one even less so.
     """
-    if prop not in ("has_ne", "fip", "weak_fip", "restricted_fip"):
+    if prop not in PROPERTIES:
         raise ConfigurationError(f"unknown property {prop!r}")
     if trials < 1:
         raise ConfigurationError(f"trial count must be a positive integer: {trials}")
@@ -1508,27 +1523,7 @@ def conjecture_scan(
         )
         graph = build_graph(game, policy, node_limit)
         checked += 1
-        witness = None
-        if prop == "has_ne":
-            if not sinks(graph):
-                witness = "no equilibrium profile"
-        elif prop == "fip":
-            verdict = is_fip(graph)
-            if not verdict.holds:
-                witness = "cycle through " + ", ".join(
-                    format_profile(game.form, graph.profiles[e.src])
-                    for e in verdict.cycle
-                )
-        elif prop == "weak_fip":
-            verdict = is_weak_fip(graph)
-            if not verdict.holds:
-                witness = "no path to a sink from " + format_profile(
-                    game.form, graph.profiles[verdict.unreachable[0]]
-                )
-        else:
-            verdict = is_restricted_fip(graph)
-            if not verdict.holds:
-                witness = verdict.certificate()
+        witness = _violations(graph, (prop,)).get(prop)
         if witness is not None and len(violations) < max_violations:
             violations.append(ScanViolation(game, witness))
     return ScanReport(
@@ -1618,7 +1613,7 @@ def render_form_report(report: FormReport) -> str:
         f"scope: {report.scope}",
         f"games checked: {report.games_checked}",
     ]
-    for name in ("has_ne", "fip", "weak_fip", "restricted_fip"):
+    for name in PROPERTIES:
         prop: FormProperty = getattr(report, name)
         lines.append(f"{name}: {_yesno(prop.holds)}")
         if not prop.holds:

@@ -52,6 +52,7 @@ from .dynamics import (
     run_path,
 )
 from .analysis import (
+    PROPERTIES,
     ScanParams,
     _scc_partition,
     build_graph,
@@ -76,12 +77,7 @@ from .constructions import (
 from .gamefile import GameFileError, dump, dumps, load
 
 _PROPS = ("ne", "fip", "weak-fip", "restricted-fip")
-_PROP_KEYS = {
-    "ne": "has_ne",
-    "fip": "fip",
-    "weak-fip": "weak_fip",
-    "restricted-fip": "restricted_fip",
-}
+_PROP_KEYS = dict(zip(_PROPS, PROPERTIES))
 
 
 def _policy_args(sub, default_kind: str = "better") -> None:

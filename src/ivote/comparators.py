@@ -19,7 +19,6 @@ cross-multiplication and expected utilities are returned as fractions.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -138,7 +137,8 @@ def ld_compare(order: PreferenceOrder, X: Iterable[int], Y: Iterable[int]) -> Se
     With Z = X n Y, X' = X - Z and Y' = Y - Z, X dominates Y exactly when
     every member of X beats every member of Y' and every member of X' beats
     every member of Y. Equivalent to requiring that every joint tie-breaking
-    order resolves X at least as well as Y (see ld_compare_by_orders).
+    order resolves X at least as well as Y, which the tests check against a
+    brute force over those orders.
     """
     X = frozenset(X)
     Y = frozenset(Y)
@@ -157,40 +157,6 @@ def ld_compare(order: PreferenceOrder, X: Iterable[int], Y: Iterable[int]) -> Se
     if dominates(X, Y, Xp, Yp):
         return _SB
     if dominates(Y, X, Yp, Xp):
-        return _SW
-    return _IC
-
-
-def ld_compare_by_orders(
-    order: PreferenceOrder, X: Iterable[int], Y: Iterable[int]
-) -> SetComparison:
-    """Brute-force oracle for local dominance.
-
-    Enumerates every strict order L over the candidates, resolves each set to
-    its L-first member, and requires the X resolution to be weakly preferred
-    in every case and strictly somewhere. Exponential; only sensible for
-    small m.
-    """
-    X = frozenset(X)
-    Y = frozenset(Y)
-    if X == Y:
-        return _EQ
-    rank = order.rank
-
-    def dominates(A, B):
-        strict = False
-        for perm in itertools.permutations(range(order.m)):
-            a = next(c for c in perm if c in A)
-            b = next(c for c in perm if c in B)
-            if rank[a] > rank[b]:
-                return False
-            if rank[a] < rank[b]:
-                strict = True
-        return strict
-
-    if dominates(X, Y):
-        return _SB
-    if dominates(Y, X):
         return _SW
     return _IC
 
@@ -454,12 +420,12 @@ def compare(
 
 
 class OutcomeComparator:
-    """Winner-set comparison for the voters of one game, with caching.
+    """Winner-set comparison for the voters of one game.
 
     Validates up front that the game supports the mode: expected utility
     needs utility vectors, and the lexicographic mode needs a form whose
-    outcomes are always singletons. Lexicographic verdicts are not cached:
-    two rank lookups cost less than a cache probe.
+    outcomes are always singletons. Nothing is cached: the reply graph
+    builder keeps its own per-game table of verdicts.
     """
 
     def __init__(self, game: Game, mode: ComparatorMode):
@@ -473,19 +439,9 @@ class OutcomeComparator:
         self.mode = mode
         self._relation, on_utilities = _COMPARATORS[mode]
         self._voters = game.utilities if on_utilities else game.prefs
-        self._cache = None if mode is ComparatorMode.LEX_SINGLETON else {}
 
     def compare(self, voter: int, X: frozenset, Y: frozenset) -> SetComparison:
-        cache = self._cache
-        if cache is None:
-            return self._relation(self._voters[voter], X, Y)
-        key = (voter, X, Y)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        verdict = cache[key] = self._relation(self._voters[voter], X, Y)
-        cache[(voter, Y, X)] = verdict.flipped()
-        return verdict
+        return self._relation(self._voters[voter], X, Y)
 
     def is_improvement(self, voter: int, old: frozenset, new: frozenset) -> bool:
         return self.compare(voter, new, old) is _SB

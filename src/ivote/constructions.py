@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 from .core import (
     Game,
     GameSpecError,
+    LimitError,
     PluralityForm,
     PreferenceOrder,
     Profile,
@@ -47,11 +48,11 @@ from .dynamics import (
     run_path,
 )
 from .analysis import (
+    PROPERTIES,
+    _violations,
     build_graph,
+    default_node_limit,
     from_state,
-    is_fip,
-    is_restricted_fip,
-    is_weak_fip,
     sinks,
 )
 
@@ -99,10 +100,19 @@ def random_game(params: GameParams, seed: int) -> Game:
 def dictatorship_form(m: int, n: int, dictator: int = 0) -> TabularForm:
     """Voter ``dictator``'s ballot wins outright; everyone else is ignored.
 
-    Materialized as an explicit table, so keep m**n small.
+    Materialized as an explicit table of m**n profiles, so more profiles
+    than the node limit (``default_node_limit``) raise LimitError before
+    any is built.
     """
     if not 0 <= dictator < n:
         raise GameSpecError(f"dictator {dictator} out of range for {n} voters")
+    limit = default_node_limit()
+    # m**n >= 2**n > limit once n reaches limit.bit_length(): not computed then
+    if m > 1 and (n >= limit.bit_length() or m**n > limit):
+        raise LimitError(
+            f"a dictatorship table of {m}^{n} profiles is above the node "
+            f"limit of {limit}"
+        )
     names = default_names(m)
     table = {
         p: frozenset((p[dictator],))
@@ -833,14 +843,8 @@ def _check_fact(entry: CatalogEntry, fact: CatalogFact) -> Optional[str]:
     game = entry.game
     form = game.form
     graph = build_graph(game, fact.policy)
-    if fact.prop == "fip":
-        actual = is_fip(graph).holds
-    elif fact.prop == "weak_fip":
-        actual = is_weak_fip(graph).holds
-    elif fact.prop == "restricted_fip":
-        actual = is_restricted_fip(graph).holds
-    elif fact.prop == "has_ne":
-        actual = bool(sinks(graph))
+    if fact.prop in PROPERTIES:
+        actual = fact.prop not in _violations(graph, (fact.prop,))
     elif fact.prop == "fip_from_start":
         actual = from_state(graph, profile_from_names(form, entry.start)).fip
     elif fact.prop == "truthful_is_ne":

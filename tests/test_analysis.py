@@ -42,6 +42,7 @@ from ivote import (
     default_node_limit,
     default_policy,
     direct_closure,
+    format_profile,
     from_state,
     hierarchy_holds,
     improvement_set,
@@ -60,8 +61,9 @@ from ivote import (
     sinks,
     truthful_profile,
 )
-from ivote import analysis
+from ivote import analysis, cli
 from ivote.analysis import (
+    PROPERTIES,
     Edge,
     _Skeleton,
     _assemble,
@@ -71,6 +73,7 @@ from ivote.analysis import (
     _reply_graph,
     _restriction,
     _scc_partition,
+    _violations,
     _voter_blocks,
     longest_path_from,
 )
@@ -1544,3 +1547,174 @@ def test_conjecture_scan_weak_fip_default_policy():
         assert "no counterexample found (not a proof)" in text
     with pytest.raises(ConfigurationError):
         conjecture_scan(params, trials=1, prop="converges")
+
+
+# ---------------------------------------------------------------------------
+# the property check
+
+
+def reference_violation(graph, prop):
+    """The witness ``graph`` gives against ``prop``, or None: the plain
+    dispatch, one decider per property with no hierarchy shortcut."""
+    game = graph.game
+    witness = None
+    if prop == "has_ne":
+        if not sinks(graph):
+            witness = "no equilibrium profile"
+    elif prop == "fip":
+        verdict = is_fip(graph)
+        if not verdict.holds:
+            witness = "cycle through " + ", ".join(
+                format_profile(game.form, graph.profiles[e.src])
+                for e in verdict.cycle
+            )
+    elif prop == "weak_fip":
+        verdict = is_weak_fip(graph)
+        if not verdict.holds:
+            witness = "no path to a sink from " + format_profile(
+                game.form, graph.profiles[verdict.unreachable[0]]
+            )
+    else:
+        verdict = is_restricted_fip(graph)
+        if not verdict.holds:
+            witness = verdict.certificate()
+    return witness
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_forms(), symmetric_forms()), st.integers(0, 10**6))
+def test_violations_match_the_plain_reference(form, seed):
+    rng = random.Random(seed)
+    prefs = tuple(
+        PreferenceOrder(rng.sample(range(form.m), form.m)) for _ in range(form.n)
+    )
+    game = Game(form, prefs, random_consistent_utilities(prefs, rng))
+    for mode in valid_modes(form):
+        for kind in ReplyKind:
+            graph = build_graph(game, ReplyPolicy(kind, mode))
+            want = {}
+            for prop in PROPERTIES:
+                witness = reference_violation(graph, prop)
+                if witness is not None:
+                    want[prop] = witness
+                assert _violations(graph, (prop,)) == (
+                    {prop: witness} if witness is not None else {}
+                )
+            got = _violations(graph, PROPERTIES)
+            assert list(got.items()) == list(want.items())
+
+
+def test_violations_stop_at_an_acyclic_peel(monkeypatch):
+    graph = build_graph(random_game(GameParams(3, 3), 0), DIRECT_LEX)
+    assert is_fip(graph).holds
+
+    def unreachable(*args):
+        raise AssertionError("an acyclic graph needs no further check")
+
+    for name in ("is_weak_fip", "_restriction", "_extract_cycle"):
+        monkeypatch.setattr(analysis, name, unreachable)
+    assert _violations(graph, PROPERTIES) == {}
+    assert conjecture_scan(ScanParams(), trials=5).violations == ()
+
+
+def test_form_sweep_extracts_only_the_cycle_it_prints(monkeypatch):
+    # 489 of the 1,080 graphs of this sweep are cyclic; the report keeps
+    # the first cycle, so no other is extracted
+    calls = []
+    extract = analysis._extract_cycle
+
+    def counting_extract(*args):
+        calls.append(args)
+        return extract(*args)
+
+    monkeypatch.setattr(analysis, "_extract_cycle", counting_extract)
+    form = PluralityForm(default_names(3), (1, 1, 1), tiebreak=TieBreak.RANDOMIZED)
+    report = classify_game_form(form, DIRECT_EU, utility_samples=5, seed=0)
+    assert report.games_checked == 1080
+    assert not report.fip.holds
+    assert len(calls) == 1
+
+
+def test_properties_name_the_report_fields_and_cli_choices():
+    fields = [
+        f.name for f in dataclasses.fields(FormReport) if f.type == "FormProperty"
+    ]
+    assert list(PROPERTIES) == fields
+    report = classify_game_form(ring_game().form, BETTER_LEX)
+    printed = [
+        line.split(":")[0]
+        for line in render_form_report(report).splitlines()
+        if line.endswith((": yes", ": no"))
+    ]
+    assert printed == list(PROPERTIES)
+    assert list(cli._PROP_KEYS.values()) == list(PROPERTIES)
+    subparsers = next(
+        a for a in cli._build_parser()._actions if a.dest == "command"
+    ).choices
+    for command, flag in (("classify", "--property"), ("scan", "--prop")):
+        option = next(
+            a for a in subparsers[command]._actions if flag in a.option_strings
+        )
+        assert list(option.choices) == list(cli._PROP_KEYS)
+
+
+def reference_sampled_sweep(form, policy, sample, utility_samples, seed):
+    """A sampled sweep as the plain reference: each profile's utility
+    vectors drawn up front, every game built on its own, and every
+    property asked of ``reference_violation``."""
+    rng = random.Random(seed)
+    failed = {}
+    checked = 0
+    for _ in range(sample):
+        prefs = tuple(
+            PreferenceOrder(rng.sample(range(form.m), form.m)) for _ in range(form.n)
+        )
+        draws = [random_consistent_utilities(prefs, rng) for _ in range(utility_samples)]
+        for utilities in draws:
+            graph = build_graph(Game(form, prefs, utilities), policy)
+            checked += 1
+            for prop in PROPERTIES:
+                witness = reference_violation(graph, prop)
+                if witness is not None and prop not in failed:
+                    failed[prop] = analysis.FormProperty(
+                        False,
+                        tuple(p.ranking for p in prefs),
+                        tuple(u.values for u in utilities),
+                        witness,
+                    )
+        if len(failed) == len(PROPERTIES):
+            break
+    return FormReport(
+        form,
+        policy,
+        f"{sample} sampled preference profiles (seed {seed})",
+        checked,
+        checked,
+        0,
+        **{p: failed.get(p, analysis.FormProperty(True)) for p in PROPERTIES},
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampled_utility_sweep_matches_drawing_up_front(seed):
+    # three of the four properties fail on this form, each with a witness
+    form = PluralityForm(default_names(3), (1, 1, 3), (1, 0, 2), TieBreak.RANDOMIZED)
+    for policy in (BETTER_EU, DIRECT_EU):
+        got = classify_game_form(form, policy, sample=12, utility_samples=3, seed=seed)
+        want = reference_sampled_sweep(form, policy, 12, 3, seed)
+        assert render_form_report(got) == render_form_report(want)
+        assert got.games_checked == want.games_checked
+
+
+def test_sampled_sweep_streams_its_utility_draws():
+    # one profile, 4,000 utility draws: drawn one per game, never listed
+    form = PluralityForm(default_names(3), (1, 1, 1), tiebreak=TieBreak.RANDOMIZED)
+    classify_game_form(form, DIRECT_EU, sample=1, utility_samples=10)  # warm up
+    tracemalloc.start()
+    try:
+        report = classify_game_form(form, DIRECT_EU, sample=1, utility_samples=4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.games_checked == 4000
+    assert peak < 1_000_000, peak

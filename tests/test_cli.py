@@ -658,6 +658,18 @@ def test_construct_dictatorship_file_round_trips(capsys, tmp_path):
     assert load(str(target)) == dictatorship_form(3, 2, dictator=1)
 
 
+def test_construct_dictatorship_above_the_node_limit(capsys):
+    # 10^8 profiles would take tens of GB as a table: refused up front
+    code, out, err = run(
+        capsys, "construct", "dictatorship", "--candidates", "10", "--voters", "8"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: a dictatorship table of 10^8 profiles is above the node "
+        "limit of 1000000\n"
+    )
+
+
 def test_construct_dictator_out_of_range(capsys):
     code, _, err = run(capsys, "construct", "dictatorship", "--dictator", "5")
     assert code == 2

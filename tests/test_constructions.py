@@ -9,6 +9,7 @@ from ivote import (
     Game,
     GameParams,
     GameSpecError,
+    LimitError,
     PathStatus,
     PreferenceOrder,
     TieBreak,
@@ -121,6 +122,20 @@ def test_dictatorship_elects_the_dictators_ballot():
         assert form.outcome(profile) == frozenset({profile[1]})
     with pytest.raises(GameSpecError):
         dictatorship_form(3, 2, dictator=2)
+
+
+def test_dictatorship_table_stays_under_the_node_limit(monkeypatch):
+    # m**n profiles above the node limit raise before any is built
+    monkeypatch.setenv("IVOTE_NODE_LIMIT", "9")
+    assert len(dictatorship_form(3, 2).table) == 9
+    with pytest.raises(LimitError, match="3\\^3 profiles is above the node limit of 9"):
+        dictatorship_form(3, 3)
+    with pytest.raises(LimitError):
+        dictatorship_form(2, 10**9)  # refused without computing 2**n
+    assert len(dictatorship_form(1, 50).table) == 1
+    monkeypatch.delenv("IVOTE_NODE_LIMIT")
+    with pytest.raises(LimitError, match="10\\^8 profiles"):
+        dictatorship_form(10, 8)
 
 
 def test_dictatorship_separability():

@@ -3,12 +3,14 @@
 ``perfbench/spans.py`` wraps the functions named in ``TRACED`` and, under
 ``--trace 1``, applies each ``COUNTERS`` lambda to the result of the
 function it names. Renaming such a function or dropping a field it reads
-should fail here, not halfway through a benchmark run.
+should fail here, not halfway through a benchmark run. The library's
+public names are pinned here too, so that no change to them goes unseen.
 """
 
 import importlib.util
 from pathlib import Path
 
+import ivote
 from ivote import (
     ComparatorMode,
     GameParams,
@@ -61,3 +63,124 @@ def test_counters_read_their_results():
     for name, counter in spans.COUNTERS.items():
         counts = counter(results[name]())
         assert counts and all(isinstance(v, int) for v in counts.values()), name
+
+
+# ``ivote.__all__``: a change here is a change to the library's interface
+PUBLIC_NAMES = [
+    "BetterReplyGraph",
+    "CatalogEntry",
+    "CatalogFact",
+    "ComparatorMode",
+    "ConfigurationError",
+    "ESCAPE_MOVES",
+    "EscapeMove",
+    "FipResult",
+    "FixedPriority",
+    "FormReport",
+    "FromStateResult",
+    "Game",
+    "GameFileError",
+    "GameParams",
+    "GameReport",
+    "GameSpecError",
+    "IvoteError",
+    "LimitError",
+    "MostPreferredAction",
+    "OutcomeComparator",
+    "PathResult",
+    "PathStatus",
+    "PluralityForm",
+    "PreferenceOrder",
+    "Profile",
+    "RandomActions",
+    "RandomAgents",
+    "ReplyKind",
+    "ReplyPolicy",
+    "RestrictedFipResult",
+    "RoundRobin",
+    "ScanParams",
+    "ScanReport",
+    "ScheduleError",
+    "SchedulerSpec",
+    "ScriptedActions",
+    "ScriptedAgents",
+    "SeparabilityCertificate",
+    "SetComparison",
+    "SetDominance",
+    "StepRecord",
+    "TabularForm",
+    "TieBreak",
+    "UniqueAction",
+    "UnsupportedOperationError",
+    "UtilityVector",
+    "WeakFipResult",
+    "adversarial_utility",
+    "analysis",
+    "axiom_closure",
+    "build_graph",
+    "catalog",
+    "catalog_entry",
+    "classify_game",
+    "classify_game_form",
+    "classify_step",
+    "comparators",
+    "compare",
+    "conjecture_scan",
+    "constructions",
+    "core",
+    "default_comparator",
+    "default_names",
+    "default_node_limit",
+    "default_policy",
+    "dictatorship_form",
+    "direct_closure",
+    "dump",
+    "dumps",
+    "dynamics",
+    "eu_compare",
+    "expected_utility",
+    "format_candidate_set",
+    "format_profile",
+    "format_trace",
+    "from_state",
+    "gamefile",
+    "hamming_acyclic_form",
+    "hierarchy_holds",
+    "improvement_set",
+    "is_fip",
+    "is_restricted_fip",
+    "is_weak_fip",
+    "k_compare",
+    "ld_compare",
+    "load",
+    "load_game",
+    "loads",
+    "longest_convergence_path",
+    "match_dominates",
+    "nash_equilibria",
+    "outcome",
+    "outcome_names",
+    "profile_from_names",
+    "profile_names",
+    "random_consistent_utilities",
+    "random_game",
+    "render_form_report",
+    "render_game_report",
+    "render_scan_report",
+    "replay_entry",
+    "restricted_action_defining_plurality",
+    "restricted_action_form",
+    "run_path",
+    "score_vector",
+    "sd_compare",
+    "separability_certificate",
+    "single_vote_adjacent",
+    "sinks",
+    "truthful_profile",
+    "verify_catalog",
+    "verify_entry",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(ivote.__all__) == PUBLIC_NAMES
